@@ -19,7 +19,11 @@ Both write per-partition RUNS PRE-PARTITIONED BY TERM SHARD (a map-side
 partitioned spill): one file per (shard, partition) carrying term rows
 with delta+varbyte doc blobs, tf blobs, optional position blobs, and
 per-block metadata (last doc / max tf / counts / byte offsets per
-<=BLOCK_SIZE postings).  The merge (``merge_runs``) is then one task per
+<=BLOCK_SIZE postings).  ``partition_runs`` builds a partition's whole
+run table in one vectorized pass: factorize + ``np.unique`` count the
+(term, doc) pairs, and ``codec.encode_runs`` — the one writer of this
+row layout, shared with compaction and serving repartition — encodes
+every term at once.  The merge (``merge_runs``) is then one task per
 term shard reading only its own files — no Ray shuffle — and stitches
 runs byte-wise: only each run's first doc value is re-encoded as a delta
 against the previous run's last doc; tf/pos blobs and block metadata
@@ -45,6 +49,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+from itertools import chain
 from typing import Dict, Iterable, List, Optional
 
 import numpy as np
@@ -58,6 +63,7 @@ from ..state.manifest import (Manifest, MAX_ATTEMPTS, STATUS_DEAD,
                               STATUS_INDEXED, atomic_write_bytes,
                               atomic_write_table)
 from ..tokenize.tokenizer import TOKENIZERS
+from .codec import _bin_view, encode_runs
 from .epoch import publish_epoch
 
 DOC_BITS = 32  # doc_id = pid << DOC_BITS | local_rank
@@ -165,6 +171,58 @@ def _index_partition(g: pd.DataFrame, pid: int, man: Manifest, out_dir: str,
     return pd.DataFrame([rec])
 
 
+def partition_runs(toks_per_doc: List[List[str]], dls: np.ndarray,
+                   doc_ids: np.ndarray, pid: int,
+                   positions: bool = False) -> pa.Table:
+    """One partition's term-sorted run table from its docs' token lists
+    (``dls[i] == len(toks_per_doc[i])``, ``doc_ids`` ascending).
+
+    Counting is factorize (one string hash pass) + integer-key np.unique
+    — ~20x faster than a pandas groupby over object-dtype (term, doc)
+    pairs — and ``codec.encode_runs`` encodes every term's run in one
+    pass.  factorize sorts the terms (Python code-point order = Arrow's
+    UTF-8 byte order), so the table comes out term-sorted without an
+    Arrow sort over the blobs."""
+    n_g = len(toks_per_doc)
+    flat = list(chain.from_iterable(toks_per_doc))
+    offsets = np.zeros(1, dtype=np.int64)
+    docs_arr = tfs_arr = np.empty(0, dtype=np.int64)
+    terms = np.empty(0, dtype=object)
+    pos_deltas = np.empty(0, dtype=np.int64) if positions else None
+    if flat:
+        codes, uniques = pd.factorize(np.asarray(flat, dtype=object),
+                                      sort=True)
+        local = np.repeat(np.arange(n_g, dtype=np.int64), dls)
+        key = codes.astype(np.int64) * n_g + local
+        uk, tfs_arr = np.unique(key, return_counts=True)
+        t_idx = uk // n_g
+        docs_arr = doc_ids[uk % n_g]  # ascending within each term run
+        if positions:
+            # token position within its doc, grouped by (term, doc) pair in
+            # the same order as uk: delta-encoded per pair (restarting), so
+            # blobs concatenate across runs/chunks without re-encoding
+            doc_starts_flat = np.repeat(np.cumsum(dls) - dls, dls)
+            pos_in_doc = np.arange(local.size, dtype=np.int64) - doc_starts_flat
+            order = np.argsort(key, kind="stable")
+            pos_sorted = pos_in_doc[order]
+            pair_starts = np.cumsum(tfs_arr) - tfs_arr
+            pos_deltas = pos_sorted.copy()
+            inner = np.ones(pos_sorted.size, dtype=bool)
+            inner[pair_starts] = False
+            pos_deltas[inner] = pos_sorted[inner] - pos_sorted[
+                np.flatnonzero(inner) - 1]
+        starts = np.flatnonzero(np.r_[True, t_idx[1:] != t_idx[:-1]])
+        offsets = np.r_[starts, t_idx.size]
+        terms = np.asarray(uniques, dtype=object)[t_idx[starts]]
+    # per-run block metadata so the MERGE never decodes postings (LAYOUT
+    # CONTRACT: codec.encode_runs is the one writer of this row layout —
+    # compaction and serving repartition re-encode through it too)
+    return pa.table(
+        {"term": pa.array(terms, pa.string()),
+         "pid": pa.array(np.full(terms.size, pid, dtype=np.int64))}
+        | encode_runs(offsets, docs_arr, tfs_arr, pos_deltas))
+
+
 def _index_partition_tables(g: pd.DataFrame, pid: int, out_dir: str,
                             tok, text_col: str, *, sort_rows: bool,
                             fingerprint: str, attempt: int,
@@ -178,10 +236,6 @@ def _index_partition_tables(g: pd.DataFrame, pid: int, out_dir: str,
     g = g.reset_index(drop=True)
     doc_ids = (np.int64(pid) << DOC_BITS) | np.arange(len(g), dtype=np.int64)
 
-    # tokenize + per-doc term counts.  Counting is factorize (one string
-    # hash pass) + integer-key np.unique — ~20x faster than a pandas
-    # groupby over object-dtype (term, doc) pairs.
-    from itertools import chain
     texts = g[text_col].tolist()
     # per-ROW poison quarantine (the reference's per-doc retry-then-DEAD,
     # ScannerImpl.java:614-713): a document whose tokenization raises is
@@ -214,102 +268,11 @@ def _index_partition_tables(g: pd.DataFrame, pid: int, out_dir: str,
         g = g.iloc[keep].reset_index(drop=True)
         doc_ids = (np.int64(pid) << DOC_BITS) | np.arange(len(g),
                                                           dtype=np.int64)
-        texts = g[text_col].tolist()
         toks_per_doc = [tp for i, tp in enumerate(toks_per_doc) if keep[i]]
     n_g = len(toks_per_doc)
     dls = np.fromiter((len(t) for t in toks_per_doc), dtype=np.int64,
                       count=n_g)
-    flat = list(chain.from_iterable(toks_per_doc))
-
-    from .codec import BLOCK_SIZE, varbyte_encode, varbyte_lengths
-    rows = {"term": [], "count": [], "cf": [], "first_doc": [], "last_doc": [],
-            "doc_blob": [], "tf_blob": [], "pos_blob": [],
-            "block_last": [], "block_max_tf": [], "block_counts": [],
-            "block_doc_off": [], "block_tf_off": []}
-    if flat:
-        codes, uniques = pd.factorize(np.asarray(flat, dtype=object),
-                                      sort=False)
-        local = np.repeat(np.arange(n_g, dtype=np.int64), dls)
-        key = codes.astype(np.int64) * n_g + local
-        uk, tfs_arr = np.unique(key, return_counts=True)
-        t_idx = uk // n_g
-        docs_arr = doc_ids[uk % n_g]  # ascending within each term run
-        uniques = np.asarray(uniques, dtype=object)
-        if positions:
-            # token position within its doc, grouped by (term, doc) pair in
-            # the same order as uk: delta-encoded per pair (restarting), so
-            # blobs concatenate across runs/chunks without re-encoding
-            doc_starts_flat = np.repeat(np.cumsum(dls) - dls, dls)
-            pos_in_doc = np.arange(local.size, dtype=np.int64) - doc_starts_flat
-            order = np.argsort(key, kind="stable")
-            pos_sorted = pos_in_doc[order]
-            pair_starts = np.cumsum(tfs_arr) - tfs_arr
-            pos_deltas = pos_sorted.copy()
-            inner = np.ones(pos_sorted.size, dtype=bool)
-            inner[pair_starts] = False
-            pos_deltas[inner] = pos_sorted[inner] - pos_sorted[
-                np.flatnonzero(inner) - 1]
-        starts = np.flatnonzero(np.r_[True, t_idx[1:] != t_idx[:-1]])
-        ends = np.r_[starts[1:], t_idx.size]
-        pair_ends = np.cumsum(tfs_arr)
-        for s, e in zip(starts, ends):
-            d = docs_arr[s:e]
-            t = tfs_arr[s:e]
-            deltas = np.empty_like(d)
-            deltas[0] = d[0]
-            np.subtract(d[1:], d[:-1], out=deltas[1:])
-            rows["term"].append(uniques[t_idx[s]])
-            rows["count"].append(e - s)
-            rows["cf"].append(int(t.sum()))
-            rows["first_doc"].append(int(d[0]))
-            rows["last_doc"].append(int(d[-1]))
-            rows["doc_blob"].append(varbyte_encode(deltas.astype(np.uint64)))
-            rows["tf_blob"].append(varbyte_encode(t.astype(np.uint64)))
-            # per-run block metadata so the MERGE never decodes postings
-            # (LAYOUT CONTRACT: index/compact._encode_run_row rebuilds
-            # rows in this exact layout when re-encoding filtered runs —
-            # change both together, pinned by test_compact_index_*):
-            # blocks of <= BLOCK_SIZE postings with last-doc / max-tf /
-            # byte-offset arrays that concatenate across runs (the first
-            # run byte offset shifts by the respliced first-delta length)
-            n = d.size
-            nb = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-            bounds = np.minimum(np.arange(1, nb + 1) * BLOCK_SIZE, n)
-            rows["block_last"].append(d[bounds - 1].tolist())
-            rows["block_max_tf"].append(np.maximum.reduceat(
-                t, np.arange(0, n, BLOCK_SIZE)).tolist())
-            obounds = np.concatenate([[0], bounds])
-            rows["block_counts"].append(np.diff(obounds).tolist())
-            dlen = np.concatenate([[0], np.cumsum(
-                varbyte_lengths(deltas.astype(np.uint64)))])
-            tlen = np.concatenate([[0], np.cumsum(
-                varbyte_lengths(t.astype(np.uint64)))])
-            rows["block_doc_off"].append(dlen[obounds].tolist())
-            rows["block_tf_off"].append(tlen[obounds].tolist())
-            if positions:
-                lo = pair_ends[s] - tfs_arr[s]
-                hi = pair_ends[e - 1]
-                rows["pos_blob"].append(
-                    varbyte_encode(pos_deltas[lo:hi].astype(np.uint64)))
-
-    run_cols = {
-        "term": pa.array(rows["term"], pa.string()),
-        "pid": pa.array([pid] * len(rows["term"]), pa.int64()),
-        "count": pa.array(rows["count"], pa.int64()),
-        "cf": pa.array(rows["cf"], pa.int64()),
-        "first_doc": pa.array(rows["first_doc"], pa.int64()),
-        "last_doc": pa.array(rows["last_doc"], pa.int64()),
-        "doc_blob": pa.array(rows["doc_blob"], pa.binary()),
-        "tf_blob": pa.array(rows["tf_blob"], pa.binary()),
-        "block_last": pa.array(rows["block_last"], pa.list_(pa.int64())),
-        "block_max_tf": pa.array(rows["block_max_tf"], pa.list_(pa.int64())),
-        "block_counts": pa.array(rows["block_counts"], pa.list_(pa.int64())),
-        "block_doc_off": pa.array(rows["block_doc_off"], pa.list_(pa.int64())),
-        "block_tf_off": pa.array(rows["block_tf_off"], pa.list_(pa.int64())),
-    }
-    if positions:
-        run_cols["pos_blob"] = pa.array(rows["pos_blob"], pa.binary())
-    run_table = pa.table(run_cols)
+    run_table = partition_runs(toks_per_doc, dls, doc_ids, pid, positions)
     meta_cols = [c for c in ("repo", "path", "commit", "lang", "source")
                  if c in g.columns]
     doc_table = pa.table(
@@ -325,7 +288,6 @@ def _index_partition_tables(g: pd.DataFrame, pid: int, out_dir: str,
     # Runs are TERM-SORTED and written in small row groups so the merge can
     # k-way-stream them (one row-group slab per file in memory, never the
     # whole shard)
-    run_table = run_table.sort_by("term")
     shard_ids = term_shard(run_table["term"], num_shards)
     out_files = []
     nbytes = 0
@@ -421,19 +383,6 @@ def _ranges_gather(data: np.ndarray, starts: np.ndarray,
     cum = np.cumsum(lens)
     base = np.repeat(starts - np.concatenate(([0], cum[:-1])), lens)
     return data[base + np.arange(total, dtype=np.int64)]
-
-
-def _bin_view(arr: pa.Array):
-    """(absolute int64 offsets, uint8 data view) of a Binary array.
-    Binary layout is gap-free by construction — row i's bytes are exactly
-    ``data[off[i]:off[i+1]]`` — so group concatenation never needs to
-    touch the data buffer."""
-    off = np.frombuffer(arr.buffers()[1], dtype=np.int32)[
-        arr.offset: arr.offset + len(arr) + 1].astype(np.int64)
-    dbuf = arr.buffers()[2]
-    data = (np.frombuffer(dbuf, dtype=np.uint8) if dbuf is not None
-            else np.empty(0, np.uint8))
-    return off, data
 
 
 def _concat_groups_binary(arr: pa.Array, gb: np.ndarray) -> pa.Array:

@@ -40,40 +40,9 @@ import ray.data
 
 from ..state.manifest import (Manifest, STATUS_DROPPED, STATUS_INDEXED,
                               atomic_write_bytes, atomic_write_table)
-from .build import DELTA_PID_BASE, DOC_BITS, merge_runs
-from .codec import BLOCK_SIZE, varbyte_decode, varbyte_encode, varbyte_lengths
+from .build import DELTA_PID_BASE, DOC_BITS, _ranges_gather, merge_runs
+from .codec import _cum0, decode_runs, encode_runs
 from .epoch import publish_epoch
-
-
-def _encode_run_row(term, pid, docs, tfs, pos, positions: bool) -> Dict:
-    """One run-schema row from decoded postings (same block layout as the
-    build, ``build.py _index_partition_tables``)."""
-    n = docs.size
-    deltas = np.empty_like(docs)
-    deltas[0] = docs[0]
-    np.subtract(docs[1:], docs[:-1], out=deltas[1:])
-    nb = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    bounds = np.minimum(np.arange(1, nb + 1) * BLOCK_SIZE, n)
-    obounds = np.concatenate([[0], bounds])
-    dlen = np.concatenate([[0], np.cumsum(
-        varbyte_lengths(deltas.astype(np.uint64)))])
-    tlen = np.concatenate([[0], np.cumsum(
-        varbyte_lengths(tfs.astype(np.uint64)))])
-    row = {
-        "term": term, "pid": pid, "count": n, "cf": int(tfs.sum()),
-        "first_doc": int(docs[0]), "last_doc": int(docs[-1]),
-        "doc_blob": varbyte_encode(deltas.astype(np.uint64)),
-        "tf_blob": varbyte_encode(tfs.astype(np.uint64)),
-        "block_last": docs[bounds - 1].tolist(),
-        "block_max_tf": np.maximum.reduceat(
-            tfs, np.arange(0, n, BLOCK_SIZE)).tolist(),
-        "block_counts": np.diff(obounds).tolist(),
-        "block_doc_off": dlen[obounds].tolist(),
-        "block_tf_off": tlen[obounds].tolist(),
-    }
-    if positions:
-        row["pos_blob"] = varbyte_encode(pos.astype(np.uint64))
-    return row
 
 
 def _rewrite_partition(out_dir: str, pid: int, dead_ranks: np.ndarray,
@@ -130,62 +99,26 @@ def _rewrite_partition(out_dir: str, pid: int, dead_ranks: np.ndarray,
         if not os.path.exists(path):
             continue
         src = pq.read_table(path)
-        positions = "pos_blob" in src.column_names
-        rows: List[Dict] = []
-        for r in src.to_pylist():
-            cnt = r["count"]
-            docs = np.cumsum(varbyte_decode(r["doc_blob"], cnt)
-                             .astype(np.int64))
-            tfs = varbyte_decode(r["tf_blob"], cnt).astype(np.int64)
-            ranks = docs & mask
-            m = alive[ranks]
-            if not m.any():
-                continue
-            kept = np.flatnonzero(m)
-            ndocs = (np.int64(pid) << DOC_BITS) | new_rank[ranks[kept]]
-            ntfs = tfs[kept]
-            npos = None
-            if positions:
-                tot = int(tfs.sum())
-                pos = varbyte_decode(r["pos_blob"], tot).astype(np.int64)
-                starts = np.cumsum(tfs) - tfs
-                lens = tfs[kept]
-                tot2 = int(lens.sum())
-                cum = np.cumsum(lens) - lens
-                flat = np.arange(tot2, dtype=np.int64) - \
-                    np.repeat(cum, lens) + np.repeat(starts[kept], lens)
+        docs, tfs, pos = decode_runs(src)
+        ranks = docs & mask
+        live = alive[ranks]
+        row_of = np.repeat(np.arange(src.num_rows),
+                           src["count"].to_numpy())
+        counts = np.bincount(row_of[live], minlength=src.num_rows)
+        if live.any():
+            if pos is not None:
                 # per-(term,doc) deltas restart each doc: gathering whole
                 # docs' runs keeps the encoding valid verbatim
-                npos = pos[flat]
-            rows.append(_encode_run_row(r["term"], pid, ndocs, ntfs, npos,
-                                        positions))
-        if rows:
-            cols = {k: [r[k] for r in rows] for k in rows[0]}
-            schema_cols = {
-                "term": pa.array(cols["term"], pa.string()),
-                "pid": pa.array(cols["pid"], pa.int64()),
-                "count": pa.array(cols["count"], pa.int64()),
-                "cf": pa.array(cols["cf"], pa.int64()),
-                "first_doc": pa.array(cols["first_doc"], pa.int64()),
-                "last_doc": pa.array(cols["last_doc"], pa.int64()),
-                "doc_blob": pa.array(cols["doc_blob"], pa.binary()),
-                "tf_blob": pa.array(cols["tf_blob"], pa.binary()),
-                "block_last": pa.array(cols["block_last"],
-                                       pa.list_(pa.int64())),
-                "block_max_tf": pa.array(cols["block_max_tf"],
-                                         pa.list_(pa.int64())),
-                "block_counts": pa.array(cols["block_counts"],
-                                         pa.list_(pa.int64())),
-                "block_doc_off": pa.array(cols["block_doc_off"],
-                                          pa.list_(pa.int64())),
-                "block_tf_off": pa.array(cols["block_tf_off"],
-                                         pa.list_(pa.int64())),
-            }
-            if positions:
-                schema_cols["pos_blob"] = pa.array(cols["pos_blob"],
-                                                   pa.binary())
-            nbytes += atomic_write_table(path, pa.table(schema_cols),
-                                         row_group_size=4096)
+                pos = _ranges_gather(pos, (np.cumsum(tfs) - tfs)[live],
+                                     tfs[live])
+            rows = pa.array(counts > 0)
+            table = pa.table(
+                {"term": src["term"].filter(rows),
+                 "pid": src["pid"].filter(rows)}
+                | encode_runs(_cum0(counts[counts > 0]),
+                              (np.int64(pid) << DOC_BITS)
+                              | new_rank[ranks[live]], tfs[live], pos))
+            nbytes += atomic_write_table(path, table, row_group_size=4096)
         else:
             os.unlink(path)  # every term row of this pid's slice died
 

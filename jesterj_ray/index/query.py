@@ -709,15 +709,16 @@ class IndexReader:
         scores) — the first phase of function-query boosting (Solr
         ``boost=``), where a per-doc factor reorders results so the
         caller cannot top-k before applying it.  Same pinned
-        summation order as :meth:`topk`; the dense accumulator is
-        zeroed before returning."""
+        summation order as :meth:`topk`; tombstoned docs are dropped as
+        in :meth:`_topk_from_dense`; the dense accumulator is zeroed
+        before returning."""
         touched = self._score_disjunctive(
             dedup_keep_order(self.tokenizer(query)))
-        if touched.size == 0:
-            return (np.empty(0, dtype=np.int64),
-                    np.empty(0, dtype=np.float64))
         scores = self._scores_buf[touched].copy()
         self._scores_buf[touched] = 0.0
+        if self._tombstone.any():
+            alive = ~self._tombstone[touched]
+            touched, scores = touched[alive], scores[alive]
         return self.doc_id_of_dense(touched), scores
 
     def terms_with_prefix(self, prefix: str, max_terms: int = 50

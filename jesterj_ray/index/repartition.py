@@ -34,56 +34,26 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..state.manifest import atomic_write_bytes
-from .build import DOC_BITS, SEG_ROW_GROUP_ROWS, _segment_schema
-from .codec import BLOCK_SIZE, varbyte_decode, varbyte_encode, varbyte_lengths
+from .build import (DOC_BITS, SEG_ROW_GROUP_ROWS, _ranges_gather,
+                    _segment_schema)
+from .codec import _cum0, decode_runs, encode_runs, range_cuts
 from .epoch import publish_epoch
 
 
-def _encode_rows(term, chunk, df, cf, docs, tfs, pos_deltas, has_pos):
-    """Re-encode one slice's postings for one (term, chunk) into a
-    segment-row dict (same block metadata scheme as the build).
-
-    n == 0 emits a metadata-only row: the reader reconstructs a term's
-    GLOBAL df by summing its chunk rows' df, so every slice must carry a
-    row for EVERY source chunk (a slice holding no docs of some chunk
-    would otherwise under-count df for multi-chunk hot terms and
-    mis-weight BM25)."""
-    n = docs.size
-    if n == 0:
-        row = {"term": term, "chunk": chunk, "df": df, "cf": cf,
-               "count": 0, "doc_blob": b"", "tf_blob": b"",
-               "block_last": [], "block_max_tf": [], "block_counts": [],
-               "block_doc_off": [0], "block_tf_off": [0]}
-        if has_pos:
-            row["pos_blob"] = b""
-        return row
-    deltas = np.empty_like(docs)
-    deltas[0] = docs[0]
-    np.subtract(docs[1:], docs[:-1], out=deltas[1:])
-    nb = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-    bounds = np.minimum(np.arange(1, nb + 1) * BLOCK_SIZE, n)
-    obounds = np.concatenate([[0], bounds])
-    dlen = np.concatenate([[0], np.cumsum(
-        varbyte_lengths(deltas.astype(np.uint64)))])
-    tlen = np.concatenate([[0], np.cumsum(
-        varbyte_lengths(tfs.astype(np.uint64)))])
-    row = {
-        "term": term, "chunk": chunk, "df": df, "cf": cf, "count": n,
-        "doc_blob": varbyte_encode(deltas.astype(np.uint64)),
-        "tf_blob": varbyte_encode(tfs.astype(np.uint64)),
-        "block_last": docs[bounds - 1].tolist(),
-        "block_max_tf": np.maximum.reduceat(
-            tfs, np.arange(0, n, BLOCK_SIZE)).tolist(),
-        "block_counts": np.diff(obounds).tolist(),
-        "block_doc_off": dlen[obounds].tolist(),
-        "block_tf_off": tlen[obounds].tolist(),
-    }
-    if has_pos:
-        row["pos_blob"] = varbyte_encode(pos_deltas.astype(np.uint64))
-    return row
-
-
 REPART_FLUSH_ROWS = 1024  # per-slice buffered rows before a writer flush
+# postings decoded at once while splitting (bounds task memory: one
+# segment row may hold up to merge_runs' chunk_target postings)
+REPART_DECODE_POSTINGS = 1 << 20
+
+
+def _decode_slabs(pf: pq.ParquetFile):
+    """The segment file's rows as record batches of at most
+    ``REPART_DECODE_POSTINGS`` postings (a larger row travels alone)."""
+    for rows in pf.iter_batches(batch_size=256):
+        cuts = range_cuts([_cum0(rows.column("count").to_numpy())],
+                          REPART_DECODE_POSTINGS)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            yield rows.slice(a, b - a)
 
 
 def _plan_slices(docs_dir: str, n_slices: int) -> Dict[int, int]:
@@ -142,8 +112,7 @@ def _split_shard(index_dir: str, out_root: str, shard: int,
     pf = pq.ParquetFile(path)
     has_pos = "pos_blob" in pf.schema_arrow.names
     schema = _segment_schema(has_pos)
-    outs: List[Dict[str, list]] = [
-        {name: [] for name in schema.names} for _ in range(n_slices)]
+    pending = [schema.empty_table()] * n_slices  # rows not yet written
     writers: List = [None] * n_slices
     finals: List[str] = []
     tmps: List[str] = []
@@ -154,57 +123,48 @@ def _split_shard(index_dir: str, out_root: str, shard: int,
         tmps.append(os.path.join(
             seg_dir, f".tmp-{uuid.uuid4().hex[:8]}.parquet"))
 
-    def flush(s: int, force: bool = False):
-        if not outs[s]["term"] and (writers[s] or not force):
-            return
+    def flush(s: int, rows: int):
+        """Write the first ``rows`` pending rows of slice ``s``."""
         if writers[s] is None:
             writers[s] = pq.ParquetWriter(tmps[s], schema)
-        t = pa.table({nm: pa.array(outs[s][nm], schema.field(nm).type)
-                      for nm in schema.names})
-        writers[s].write_table(t, row_group_size=SEG_ROW_GROUP_ROWS)
-        for nm in schema.names:
-            outs[s][nm].clear()
+        writers[s].write_table(pending[s].slice(0, rows),
+                               row_group_size=SEG_ROW_GROUP_ROWS)
+        pending[s] = pending[s].slice(rows)
 
     lookup = _slice_lookup(assign)
     total = 0
-    for batch in pf.iter_batches(batch_size=256):
-        rows = batch.to_pylist()
-        for r in rows:
-            n = r["count"]
-            docs = np.cumsum(varbyte_decode(r["doc_blob"], n)
-                             .astype(np.int64))
-            tfs = varbyte_decode(r["tf_blob"], n).astype(np.int64)
-            if has_pos:
-                npos = int(tfs.sum())
-                pos = varbyte_decode(r["pos_blob"], npos).astype(np.int64)
-                starts = np.cumsum(tfs) - tfs
-            sl = lookup(docs >> DOC_BITS)
-            for s in range(n_slices):
-                m = sl == s
-                if has_pos and m.any():
-                    # gather each kept doc's contiguous delta run (deltas
-                    # restart per doc, so runs concatenate verbatim)
-                    keep_idx = np.flatnonzero(m)
-                    lens = tfs[keep_idx]
-                    tot = int(lens.sum())
-                    cum = np.cumsum(lens) - lens
-                    flat = np.arange(tot, dtype=np.int64) - \
-                        np.repeat(cum, lens) + np.repeat(starts[keep_idx],
-                                                         lens)
-                    pd_slice = pos[flat]
-                else:
-                    pd_slice = None
-                row = _encode_rows(r["term"], r["chunk"], r["df"], r["cf"],
-                                   docs[m], tfs[m], pd_slice, has_pos)
-                for k, v in row.items():
-                    outs[s][k].append(v)
-                total += 1
-                if len(outs[s]["term"]) >= REPART_FLUSH_ROWS:
-                    flush(s)
+    for batch in _decode_slabs(pf):
+        docs, tfs, pos = decode_runs(batch)
+        R = batch.num_rows
+        # group postings slice-major, then by source row; the stable sort
+        # keeps every (slice, row) run's docs ascending
+        key = lookup(docs >> DOC_BITS) * R + np.repeat(
+            np.arange(R), batch.column("count").to_numpy())
+        order = np.argsort(key, kind="stable")
+        if pos is not None:
+            # gather each kept doc's contiguous delta run (deltas restart
+            # per doc, so runs concatenate verbatim)
+            pos = _ranges_gather(pos, (np.cumsum(tfs) - tfs)[order],
+                                 tfs[order])
+        # a slice holding no docs of a source row still gets a
+        # metadata-only row (count 0): the reader reconstructs a term's
+        # GLOBAL df by summing its chunk rows' df, so a missing row would
+        # under-count df for multi-chunk hot terms and mis-weight BM25
+        enc = encode_runs(
+            _cum0(np.bincount(key, minlength=n_slices * R)),
+            docs[order], tfs[order], pos)
+        for s in range(n_slices):
+            pending[s] = pa.concat_tables([pending[s], pa.table(
+                {nm: batch.column(nm) if nm in ("term", "chunk", "df", "cf")
+                 else enc[nm].slice(s * R, R) for nm in schema.names},
+                schema=schema)])
+            while pending[s].num_rows >= REPART_FLUSH_ROWS:
+                flush(s, REPART_FLUSH_ROWS)
+        total += R * n_slices
     for s in range(n_slices):
-        flush(s, force=True)
-        if writers[s] is not None:
-            writers[s].close()
+        if pending[s].num_rows or writers[s] is None:
+            flush(s, pending[s].num_rows)
+        writers[s].close()
         os.replace(tmps[s], finals[s])
     return {"shard": shard, "rows": total}
 

@@ -127,6 +127,34 @@ def test_delete_docs_rowshift(tmp_path):
     assert score_map(out) == score_map(full)
 
 
+def test_match_scores_drops_tombstoned(tmp_path):
+    """match_scores (the boost / RRF / block-join match set) hides
+    tombstoned docs exactly like the top-k paths: after a delta that
+    changes one doc and deletes another it returns the same
+    (doc_key, score) set as a full rebuild of the current files."""
+    df = make_docs(n=300)
+    src, out = build(df, tmp_path, "base")
+    df2 = df.copy()
+    df2.loc[57, "text"] = "changedword alpha beta changedword"
+    df2 = df2.drop(index=[123]).reset_index(drop=True)
+    write_docs(df2, src)
+    delta_reindex(src, out, text_col="text", key_col="rid",
+                  tokenizer="simple", docs_per_partition=64,
+                  num_shards=4, positions=True)
+    _, full = build(df2, tmp_path, "full")
+
+    def match_map(index_dir, q):
+        r = IndexReader(index_dir)
+        ids, scores = r.match_scores(q)
+        return dict(zip(r.doc_keys(ids), np.round(scores, 9).tolist()))
+
+    assert IndexReader(out)._tombstone.sum() >= 2
+    for q in QUERIES:
+        got = match_map(out, q)
+        assert got == match_map(full, q), q
+        assert f"{123:012d}" not in got
+
+
 def test_watch_and_reindex_cycles(tmp_path):
     """Continuous rescan loop: base build on cycle 0, per-doc delta on
     later cycles (only the changed doc tokenizes), unchanged cycles

@@ -115,6 +115,25 @@ def test_repartition_streams_with_tiny_flush(split_index, monkeypatch):
             assert ta.sort_by("term").equals(tb.sort_by("term"))
 
 
+def test_split_shard_bounded_decode_equal(split_index, tmp_path,
+                                          monkeypatch):
+    """Splitting a shard in-process with a tiny decode slab (rows decode
+    a few postings at a time, big rows alone) and a 5-row flush writes
+    the same slice segment tables as the default split."""
+    import os
+    from jesterj_ray.index import repartition as rp
+    out, slice_dirs = split_index
+    monkeypatch.setattr(rp, "REPART_DECODE_POSTINGS", 3)
+    monkeypatch.setattr(rp, "REPART_FLUSH_ROWS", 5)
+    assign = rp._plan_slices(os.path.join(out, "docs"), 3)
+    for shard in range(4):
+        rp._split_shard(out, str(tmp_path), shard, 3, assign)
+        for s, sdir in enumerate(slice_dirs):
+            name = f"segments/shard-{shard:04d}.parquet"
+            got = pq.read_table(f"{tmp_path}/slice-{s:03d}/{name}")
+            assert got.equals(pq.read_table(f"{sdir}/{name}"))
+
+
 def test_repartition_refuses_exact_stats(tmp_path):
     import json as _json
     import os as _os
