@@ -57,23 +57,14 @@ class BM25FReader:
 
     def __init__(self, field_dirs: Dict[str, str],
                  weights: Optional[Dict[str, float]] = None,
-                 b: Optional[Dict[str, float]] = None,
-                 slice_of: Optional[Tuple[int, int]] = None):
-        """``slice_of=(slice_id, n_slices)`` opens every field through
-        ``serving._SlicedReader`` (doc-range sharded serving): this
-        reader then holds only its slice's norms/buffers and scores only
-        its docs.  Slice-local ``topk`` MUST be given global dfs via
-        ``df_override`` (see :meth:`term_union_df`) for score parity."""
+                 b: Optional[Dict[str, float]] = None):
+        """A serving slice is just another family of field dirs (from
+        ``repartition_bm25f_for_serving``): its ``topk`` MUST be given
+        global dfs via ``df_override`` (see :meth:`term_union_df`) for
+        score parity."""
         if not field_dirs:
             raise ValueError("BM25F needs at least one field index")
-        if slice_of is None:
-            self.readers = {f: IndexReader(d)
-                            for f, d in field_dirs.items()}
-        else:
-            from .serving import _SlicedReader
-            sid, n = slice_of
-            self.readers = {f: _SlicedReader(d, sid, n)
-                            for f, d in field_dirs.items()}
+        self.readers = {f: IndexReader(d) for f, d in field_dirs.items()}
         self.weights = dict(weights or DEFAULT_WEIGHTS)
         self.b = dict(b or DEFAULT_B)
         for f in self.readers:
@@ -97,10 +88,6 @@ class BM25FReader:
                     "(delta_reindex_fields) or compact so every field "
                     "drops the same docs")
         self._has_tombs = bool(self.primary._tombstone.any())
-        if self._has_tombs and slice_of is not None:
-            raise ValueError(
-                "sharded BM25F serving over tombstoned field indexes is "
-                "not supported — compact the family, then repartition")
         self.n_docs = self.primary.n_docs
         self._tfa_buf = np.zeros(self.primary.n_dense, dtype=np.float64)
 
@@ -316,10 +303,12 @@ def watch_and_reindex_fields(pattern: str, field_dirs: Dict[str, str], *,
     every field after every N delta cycles — each field compacts from
     identical tombstones/manifests, so alignment survives compaction
     (BM25FReader's doc-space guard verifies).  ``on_publish(stats)``
-    fires after each cycle's epochs publish — pass a serving handle's
-    ``reopen`` there and queries keep serving across the loop
+    fires after each cycle's epochs publish — after a compacting cycle,
+    re-split the family into the serving slice root
+    (``repartition_bm25f_for_serving``) and call the sharded service's
+    ``reopen`` there, and queries keep serving across the loop
     (tests/test_bm25f_delta.py pins the full
-    delta -> compact -> reopen -> parity cycle).
+    delta -> compact -> re-split -> reopen -> parity cycle).
 
     Yields per-cycle stats like watch_and_reindex."""
     import glob as _glob

@@ -43,14 +43,12 @@ from .epoch import (IndexChangedError, check_pinned, publish_epoch,
 
 
 class IndexReader:
-    """Reads one on-disk index produced by ``build.build_index``."""
+    """Reads one on-disk index: a build (``build_rows.build_index_rows``
+    or ``build.build_index``), its deltas and compactions, or a serving
+    slice dir from ``repartition.repartition_for_serving``."""
 
-    def __init__(self, index_dir: str, pid_filter=None):
-        """``pid_filter(pid) -> bool`` restricts which partitions' doc
-        tables load (doc-range-sharded serving skips other shards' files
-        entirely)."""
+    def __init__(self, index_dir: str):
         self.dir = index_dir
-        self._pid_filter = pid_filter
         # epoch pin (epoch.py): every file this reader opens — now or
         # lazily — must belong to this point-in-time file set; files
         # published after this moment are invisible, replaced files raise
@@ -103,8 +101,6 @@ class IndexReader:
             if t.num_rows == 0:
                 continue
             pid = int(t["doc_id"][0].as_py()) >> DOC_BITS
-            if self._pid_filter is not None and not self._pid_filter(pid):
-                continue
             self._dl[pid] = t["dl"].to_numpy().astype(np.int64)
             self._doc_key[pid] = t["doc_key"].combine_chunks()
         # dense docID space: doc_id = pid<<32|rank maps to base[pid]+rank.
@@ -142,11 +138,7 @@ class IndexReader:
                 raise
             check_pinned(index_dir, self._epoch, "tombstones.json")
             if dead_ids.size:
-                if self._pid_filter is not None:
-                    dead_ids = dead_ids[[self._pid_filter(int(d) >> DOC_BITS)
-                                         for d in dead_ids]]
-                if dead_ids.size:
-                    self._tombstone[self.dense_of(dead_ids)] = True
+                self._tombstone[self.dense_of(dead_ids)] = True
         # exact-stats mode (set by delta_reindex): corpus statistics count
         # ALIVE docs only — n_docs/avgdl here, df per term at query time —
         # so a delta-built index scores EXACTLY like a full rebuild.  The
@@ -154,9 +146,6 @@ class IndexReader:
         # as-built stats until the next rebuild compacts (Lucene-style).
         self._exact_stats = bool(self.stats.get("exact_stats", False))
         if self._exact_stats and self._tombstone.any():
-            if self._pid_filter is not None:
-                raise ValueError("exact_stats requires the full pid space "
-                                 "(alive stats are corpus-global)")
             alive = ~self._tombstone
             n_alive = int(alive.sum())
             self.n_docs = n_alive

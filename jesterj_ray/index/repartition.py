@@ -1,22 +1,23 @@
 """Serving repartition: split one global index into N self-contained
-doc-range slice indexes.
+doc-range slice indexes — the only way the engine shards serving.
 
-The mask-based :class:`..serving._SlicedReader` decodes GLOBAL posting
-lists and filters them per query — correct for exhaustive topk but wasted
-decode, and the pruned / phrase / positions paths cannot be slice-masked
-at all (r01 ADVICE).  This module does the split ONCE at rest instead:
-each (term, chunk) posting list is decoded, partitioned by
-``pid % n_slices``, and re-encoded into a per-slice segment set that keeps
-the GLOBAL df/cf columns and global stats.json — so a plain
-:class:`..query.IndexReader` opened on a slice dir scores its docs exactly
-like the global reader (BM25 weights are corpus-wide) while decoding ONLY
-its own postings, with the FULL feature set (block-max pruning, phrase,
-positions).  One Ray task per (shard, slice); no shuffle — tasks read only
-their shard's segment file.
+The split is done ONCE at rest: each (term, chunk) posting list is
+decoded, routed by the doc-count-balanced pid -> slice plan, and
+re-encoded into a per-slice segment set that keeps the GLOBAL df/cf
+columns and global stats.json — so a plain :class:`..query.IndexReader`
+opened on a slice dir scores its docs exactly like the global reader
+(BM25 weights are corpus-wide) while decoding ONLY its own postings, with
+the FULL feature set (block-max pruning, phrase, positions).  One Ray
+task per shard; no shuffle — tasks read only their shard's segment file.
+
+Re-splitting into an existing slice root is the serving half of a writer
+cycle (compact the source, re-split, reopen): every file goes down by
+temp + os.replace, files of the previous split that this one did not
+write are unlinked, and each slice publishes its epoch LAST.
 
 At 10^12 docs this is the serving deployment step: slices sized to a
 node, each node opens its slice dir, a fan-out service merges k-lists
-(``ShardedQueryService(slice_dirs=...)``).
+(``serving.ShardedQueryService(slice_dirs)``).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ..state.manifest import atomic_write_bytes
 from .build import (DOC_BITS, SEG_ROW_GROUP_ROWS, _ranges_gather,
                     _segment_schema)
 from .codec import _cum0, decode_runs, encode_runs, range_cuts
-from .epoch import publish_epoch
+from .epoch import _reader_visible_files, publish_epoch
 
 
 REPART_FLUSH_ROWS = 1024  # per-slice buffered rows before a writer flush
@@ -213,8 +214,12 @@ def repartition_for_serving(index_dir: str, out_root: str, *,
                     # compact_index's stale-tombstone handling; ADVICE r03)
                     continue
                 slice_tombs[assign[pid]].append(did)
-    for s in range(n_slices):
-        sdir = os.path.join(out_root, f"slice-{s:03d}")
+    slices = [os.path.join(out_root, f"slice-{s:03d}")
+              for s in range(n_slices)]
+    # reader-visible files this split writes, per slice: everything else
+    # in the slice dir is a leftover of an earlier split
+    written = [{"stats.json"} for _ in range(n_slices)]
+    for s, sdir in enumerate(slices):
         os.makedirs(os.path.join(sdir, "docs"), exist_ok=True)
         atomic_write_bytes(
             os.path.join(sdir, "stats.json"),
@@ -224,15 +229,21 @@ def repartition_for_serving(index_dir: str, out_root: str, *,
             atomic_write_bytes(
                 os.path.join(sdir, "tombstones.json"),
                 json.dumps({"doc_ids": sorted(slice_tombs[s])}).encode())
+            written[s].add("tombstones.json")
     for name in sorted(os.listdir(docs_dir)):
         if not name.endswith(".parquet"):
             continue
         pid = int(name.split("-")[1].split(".")[0])
         if pid not in assign:
             continue  # empty doc table: no postings reference it
-        shutil.copy2(os.path.join(docs_dir, name),
-                     os.path.join(out_root, f"slice-{assign[pid]:03d}",
-                                  "docs", name))
+        dst = os.path.join(slices[assign[pid]], "docs", name)
+        shutil.copy2(os.path.join(docs_dir, name), dst + ".tmp")
+        os.replace(dst + ".tmp", dst)
+        written[assign[pid]].add(f"docs/{name}")
+    # _split_shard writes every slice's copy of each existing shard file
+    segs = {f"segments/shard-{sh:04d}.parquet" for sh in range(num_shards)
+            if os.path.exists(os.path.join(
+                index_dir, "segments", f"shard-{sh:04d}.parquet"))}
 
     # segment split: one Ray task per shard (reads only its shard file)
     tasks = ray.data.from_items(
@@ -247,9 +258,13 @@ def repartition_for_serving(index_dir: str, out_root: str, *,
 
     tasks.map_batches(split, batch_format="pandas",
                       batch_size=1).materialize()
-    slices = [os.path.join(out_root, f"slice-{s:03d}")
-              for s in range(n_slices)]
-    for sdir in slices:
+    for sdir, keep in zip(slices, written):
+        # publish_epoch lists whatever is on disk: unlink the previous
+        # split's tombstones, moved doc tables and surplus shards first
+        keep |= segs
+        for rel in _reader_visible_files(sdir):
+            if rel not in keep:
+                os.unlink(os.path.join(sdir, rel))
         publish_epoch(sdir)
     return slices
 

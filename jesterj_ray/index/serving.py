@@ -1,30 +1,42 @@
-"""Sharded query serving: doc-range-partitioned actor pool.
+"""Sharded query serving: one actor per repartitioned slice index.
 
 The single-reader :class:`..index.query.QueryActor` holds the whole index;
-at 10^12 docs no node can.  This module demonstrates the deployment shape:
-each :class:`ShardedQueryActor` owns one slice of the PARTITION space (its
-doc tables / norms / score buffer cover only pids ≡ shard (mod n)), scores
-only its own docs with GLOBAL corpus statistics (df and avgdl in the
-segments/stats are corpus-wide, so per-shard scores equal the unsharded
-engine's exactly), and returns its local top-k; the driver (or a tiny
-reduce stage) merges k-lists.  Tested rank-identical to the full reader.
+at 10^12 docs no node can.  :func:`..repartition.repartition_for_serving`
+splits a global index at rest into self-contained doc-range slice dirs
+whose segments hold only the slice's postings but keep GLOBAL df/cf and
+stats.json.  Each slice actor opens one slice dir with a plain
+:class:`..query.IndexReader` — so every query mode (block-max pruned,
+phrase) works per slice and scores equal the unsharded engine's exactly —
+and the driver merges the per-slice k-lists.  Tested rank-identical to the
+full reader.
 
-Memory per actor = (n_docs / n_shards) x ~9 bytes of norms+buffer + its
-share of lazily-cached segment shards — node-sized at any corpus scale by
-raising n_shards.
+A changing index is served by one writer cycle: compact the source,
+re-split it into the SAME slice root, then :meth:`_ReopenMixin.reopen`
+(or let ``reopen_on_change=True`` catch the replaced pinned files).
+
+Memory per actor = its slice's norms + score buffer + a bounded LRU of
+touched segment row groups — node-sized at any corpus scale by raising
+the slice count.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
-
-import numpy as np
+import itertools
+from typing import Iterable, List, Tuple
 
 import ray
 
 from .epoch import IndexChangedError
 from .query import IndexReader
+
+
+def _merge_topk(partials: Iterable[List[Tuple[int, float]]], k: int
+                ) -> List[Tuple[int, float]]:
+    """First ``k`` hits of the per-slice k-lists (each already ordered
+    score desc, ties docID asc — slice doc spaces are disjoint)."""
+    return list(itertools.islice(
+        heapq.merge(*partials, key=lambda h: (-h[1], h[0])), k))
 
 
 def _caused_by_index_change(e: BaseException) -> bool:
@@ -47,8 +59,8 @@ class _ReopenMixin:
     (r03 VERDICT #7; reference analog: scanners keep feeding Solr while
     it serves — ``README.md:36-48`` — and Solr swaps searchers on
     commit).  Epoch pinning makes every actor's reader a consistent
-    point-in-time view; a delta cycle only ADDS files (invisible to the
-    pin), but a compaction / full re-merge REPLACES pinned files.
+    point-in-time view; a delta cycle on the source touches no slice
+    file, but re-splitting a compacted source REPLACES pinned files.
     Serving stays up across writer cycles at the cost of one retried
     fan-out; bounded retries mean a writer racing every reopen attempt
     eventually surfaces the error honestly.
@@ -70,107 +82,45 @@ class _ReopenMixin:
 
     _reopen = False
     _MAX_REOPENS = 3
+    # True until one reopen of EVERY actor succeeds: after a partial one,
+    # some slices serve the new split and others the old, so no fan-out
+    # may merge their k-lists
+    _stale = False
 
     def reopen(self) -> None:
         """Re-pin every slice actor at the latest published epoch
         (drops caches; subsequent queries fault state back in lazily)."""
+        self._stale = True
         ray.get([a.reopen.remote() for a in self.actors])
+        self._stale = False
 
     def _with_reopen(self, fn):
         for attempt in range(self._MAX_REOPENS + 1):
             try:
+                if self._stale:
+                    self.reopen()
                 return fn()
             except Exception as e:
                 if (not self._reopen or attempt == self._MAX_REOPENS
                         or not _caused_by_index_change(e)):
                     raise
-                self.reopen()
-
-
-class _SlicedReader(IndexReader):
-    """IndexReader restricted to pids where pid % n_slices == slice_id."""
-
-    def __init__(self, index_dir: str, slice_id: int, n_slices: int):
-        self._slice_id = slice_id
-        self._n_slices = n_slices
-        # pid_filter loads ONLY this slice's doc tables / norms / buffers;
-        # n_docs / avgdl stay GLOBAL (stats.json) so BM25 weights match the
-        # unsharded engine exactly
-        super().__init__(index_dir,
-                         pid_filter=lambda p: p % n_slices == slice_id)
-
-    def postings(self, term: str):
-        docs, tfs = super().postings(term)
-        if docs.size == 0:
-            return docs, tfs
-        mask = (docs >> 32) % self._n_slices == self._slice_id
-        return docs[mask], tfs[mask]
-
-    def dense_of(self, doc_ids):
-        """Slice-safe mapping: a pid outside this slice would silently
-        searchsorted-mismap onto a neighbour, corrupting scores."""
-        pids = doc_ids >> 32
-        pos = np.clip(np.searchsorted(self._pids, pids), 0,
-                      max(0, self._pids.size - 1))
-        if doc_ids.size and not np.array_equal(self._pids[pos], pids):
-            raise ValueError("doc_id outside this reader's pid slice")
-        return super().dense_of(doc_ids)
-
-    # Only topk() applies the slice filter (it goes through the overridden
-    # postings()).  The pruned / phrase / positions paths read raw blobs
-    # via _decode_blocks_covering or stitch pos blobs against UNfiltered
-    # tf runs — running them against a slice would silently misalign, so
-    # they are explicitly unsupported here (ADVICE r01).
-    def topk_pruned(self, query: str, k: int = 10):
-        raise NotImplementedError(
-            "_SlicedReader supports exhaustive topk() only; block-max "
-            "pruning reads raw blobs that bypass the slice mask")
-
-    def phrase_topk(self, query: str, k: int = 10):
-        raise NotImplementedError(
-            "_SlicedReader supports exhaustive topk() only; position blobs "
-            "would misalign against slice-masked tf runs")
-
-    def positions(self, term: str):
-        raise NotImplementedError(
-            "_SlicedReader supports exhaustive topk() only; position blobs "
-            "would misalign against slice-masked tf runs")
-
-
-@ray.remote
-class ShardedQueryActor:
-    def __init__(self, index_dir: str, slice_id: int, n_slices: int):
-        self._args = (index_dir, slice_id, n_slices)
-        self.reader = _SlicedReader(index_dir, slice_id, n_slices)
-
-    def reopen(self) -> None:
-        """Re-pin at the index's LATEST published epoch (drops every
-        cached table; the next queries fault pages back in lazily)."""
-        self.reader = _SlicedReader(*self._args)
-
-    def topk(self, query: str, k: int) -> List[Tuple[int, float]]:
-        return self.reader.topk(query, k)
-
-    def topk_batch(self, queries: List[Tuple[str, int]]
-                   ) -> List[List[Tuple[int, float]]]:
-        return [self.reader.topk(q, k) for q, k in queries]
+                self._stale = True
 
 
 @ray.remote
 class SliceQueryActor:
-    """Actor over a REPARTITIONED slice index
-    (:func:`..repartition.repartition_for_serving`): a plain IndexReader —
+    """Actor over one repartitioned slice index: a plain IndexReader —
     the slice's segments hold only its docs but GLOBAL df/stats, so every
     query mode (pruned, phrase, positions) works per slice with scores
     identical to the global reader."""
 
     def __init__(self, slice_dir: str):
-        from .query import IndexReader
         self._dir = slice_dir
         self.reader = IndexReader(slice_dir)
 
     def reopen(self) -> None:
-        from .query import IndexReader
+        """Re-pin at the slice's LATEST published epoch (drops every
+        cached table; the next queries fault pages back in lazily)."""
         self.reader = IndexReader(self._dir)
 
     def topk(self, query: str, k: int) -> List[Tuple[int, float]]:
@@ -185,33 +135,22 @@ class SliceQueryActor:
 
 
 class ShardedQueryService(_ReopenMixin):
-    """Driver-side handle: fan a query to all slice actors, merge top-k.
-
-    Two modes: ``index_dir`` (mask-based slices over one global index —
-    exhaustive topk only) or ``slice_dirs`` (repartitioned per-slice
-    indexes — full feature set incl. block-max pruning and phrase).
+    """Driver-side handle: fan a query to one actor per slice dir (from
+    ``repartition_for_serving``), merge the k-lists.
     ``reopen_on_change=True``: on IndexChangedError from any slice,
     reopen every actor at the latest epoch and retry (serve across
     writer cycles — see :class:`_ReopenMixin`)."""
 
-    def __init__(self, index_dir: str = None, n_slices: int = 4,
-                 slice_dirs: Optional[List[str]] = None,
+    def __init__(self, slice_dirs: List[str],
                  reopen_on_change: bool = False):
-        if slice_dirs is not None:
-            self.actors = [SliceQueryActor.remote(d) for d in slice_dirs]
-            self._phrase_ok = True
-        else:
-            self.actors = [ShardedQueryActor.remote(index_dir, s, n_slices)
-                           for s in range(n_slices)]
-            self._phrase_ok = False
+        if not slice_dirs:
+            raise ValueError("ShardedQueryService needs slice dirs")
+        self.actors = [SliceQueryActor.remote(d) for d in slice_dirs]
         self._reopen = reopen_on_change
 
     def topk(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
-        partials = self._with_reopen(lambda: ray.get(
-            [a.topk.remote(query, k) for a in self.actors]))
-        merged = heapq.merge(*[iter(p) for p in partials],
-                             key=lambda h: (-h[1], h[0]))
-        return list(merged)[:k]
+        return _merge_topk(self._with_reopen(lambda: ray.get(
+            [a.topk.remote(query, k) for a in self.actors])), k)
 
     def topk_many(self, queries: List[Tuple[str, int]]
                   ) -> List[List[Tuple[int, float]]]:
@@ -223,22 +162,12 @@ class ShardedQueryService(_ReopenMixin):
         THROUGHPUT."""
         per_actor = self._with_reopen(lambda: ray.get(
             [a.topk_batch.remote(queries) for a in self.actors]))
-        out = []
-        for qi, (_, k) in enumerate(queries):
-            merged = heapq.merge(*[iter(p[qi]) for p in per_actor],
-                                 key=lambda h: (-h[1], h[0]))
-            out.append(list(merged)[:k])
-        return out
+        return [_merge_topk((p[qi] for p in per_actor), k)
+                for qi, (_, k) in enumerate(queries)]
 
     def phrase_topk(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
-        if not self._phrase_ok:
-            raise NotImplementedError(
-                "phrase serving needs repartitioned slice dirs")
-        partials = self._with_reopen(lambda: ray.get(
-            [a.phrase_topk.remote(query, k) for a in self.actors]))
-        merged = heapq.merge(*[iter(p) for p in partials],
-                             key=lambda h: (-h[1], h[0]))
-        return list(merged)[:k]
+        return _merge_topk(self._with_reopen(lambda: ray.get(
+            [a.phrase_topk.remote(query, k) for a in self.actors])), k)
 
     def shutdown(self):
         for a in self.actors:
@@ -247,20 +176,21 @@ class ShardedQueryService(_ReopenMixin):
 
 
 @ray.remote
-class BM25FSliceActor:
-    """One doc-range slice of a BM25F field family (mask-based slices of
-    each field index — the fields share one pid space, so slicing every
-    field with the same (slice_id, n_slices) keeps them aligned)."""
+class BM25FSliceDirActor:
+    """Actor over one repartitioned slice of a BM25F field family
+    (``repartition.repartition_bm25f_for_serving``): plain per-field
+    IndexReaders over self-contained slice indexes; global df arrives
+    via the service's df-gather round (any-field union df is not stored
+    per field)."""
 
-    def __init__(self, field_dirs, slice_id: int, n_slices: int):
+    def __init__(self, field_dirs):
         from .bm25f import BM25FReader
-        self._args = (field_dirs, (slice_id, n_slices))
-        self.reader = BM25FReader(field_dirs,
-                                  slice_of=(slice_id, n_slices))
+        self._dirs = field_dirs
+        self.reader = BM25FReader(field_dirs)
 
     def reopen(self) -> None:
         from .bm25f import BM25FReader
-        self.reader = BM25FReader(self._args[0], slice_of=self._args[1])
+        self.reader = BM25FReader(self._dirs)
 
     def df_counts(self, terms: List[str]):
         return self.reader.term_union_df(terms)
@@ -281,31 +211,21 @@ class BM25FShardedService(_ReopenMixin):
     k-lists.  Rank-identical to the unsharded ``BM25FReader`` (pinned
     in tests/test_bm25f.py)."""
 
-    def __init__(self, field_dirs=None, n_slices: int = 4,
-                 field_slice_dirs=None, reopen_on_change: bool = False):
-        """``field_dirs``: mask-based slices over the global field
-        indexes.  ``field_slice_dirs`` (list over slices of
-        {field: slice_dir}, from ``repartition_bm25f_for_serving``):
-        self-contained per-slice field indexes — the deployment shape
+    def __init__(self, field_slice_dirs, reopen_on_change: bool = False):
+        """``field_slice_dirs``: list over slices of {field: slice_dir},
+        from ``repartition_bm25f_for_serving`` — the deployment shape
         where each node holds only its slice's files.
         ``reopen_on_change``: see :class:`_ReopenMixin`."""
-        if (field_dirs is None) == (field_slice_dirs is None):
-            raise ValueError("pass exactly one of field_dirs / "
-                             "field_slice_dirs")
-        if field_slice_dirs is not None:
-            self.actors = [BM25FSliceDirActor.remote(d)
-                           for d in field_slice_dirs]
-            any_dir = next(iter(field_slice_dirs[0].values()))
-        else:
-            self.actors = [BM25FSliceActor.remote(field_dirs, s, n_slices)
-                           for s in range(n_slices)]
-            any_dir = next(iter(field_dirs.values()))
+        if not field_slice_dirs:
+            raise ValueError("BM25FShardedService needs field slice dirs")
+        self.actors = [BM25FSliceDirActor.remote(d) for d in field_slice_dirs]
         self._reopen = reopen_on_change
         # tokenizer for the df round: all fields share one (stats.json);
         # schema-driven analyzers re-register from the persisted config
         # (same open-in-any-process contract as IndexReader)
         import json
         import os
+        any_dir = next(iter(field_slice_dirs[0].values()))
         with open(os.path.join(any_dir, "stats.json")) as f:
             stats = json.load(f)
         if stats.get("analyzer_config") is not None:
@@ -331,36 +251,9 @@ class BM25FShardedService(_ReopenMixin):
             return ray.get([a.topk.remote(query, k, dfs)
                             for a in self.actors])
 
-        partials = self._with_reopen(both_rounds)
-        merged = heapq.merge(*[iter(p) for p in partials],
-                             key=lambda h: (-h[1], h[0]))
-        return list(merged)[:k]
+        return _merge_topk(self._with_reopen(both_rounds), k)
 
     def shutdown(self):
         for a in self.actors:
             ray.kill(a)
         self.actors = []
-
-
-@ray.remote
-class BM25FSliceDirActor:
-    """Actor over one REPARTITIONED slice of a BM25F field family
-    (``repartition.repartition_bm25f_for_serving``): plain per-field
-    IndexReaders over self-contained slice indexes — no postings
-    masking needed; global df still arrives via the service's
-    df-gather round (any-field union df is not stored per field)."""
-
-    def __init__(self, field_dirs):
-        from .bm25f import BM25FReader
-        self._dirs = field_dirs
-        self.reader = BM25FReader(field_dirs)
-
-    def reopen(self) -> None:
-        from .bm25f import BM25FReader
-        self.reader = BM25FReader(self._dirs)
-
-    def df_counts(self, terms: List[str]):
-        return self.reader.term_union_df(terms)
-
-    def topk(self, query: str, k: int, dfs) -> List[Tuple[int, float]]:
-        return self.reader.topk(query, k, df_override=dfs)

@@ -2,8 +2,6 @@
 
 1. topk_pruned computed its k-th pruning threshold over tombstoned docs,
    inflating the bound and dropping valid results after any delete.
-2. _SlicedReader inherited pruned/phrase/positions paths that bypass the
-   slice mask (raw blob decode / searchsorted mismap) — now refused.
 3. merge_runs fingerprinted run files by path+size only, so a same-size
    in-place rewrite silently skipped the merge; re-planned builds left
    stale partition artifacts behind.
@@ -86,32 +84,6 @@ def test_pruned_after_delete_planted(tmp_path):
         assert [x[0] for x in a] == [x[0] for x in b], k
         for (_, s1), (_, s2) in zip(a, b):
             assert s1 == pytest.approx(s2, abs=1e-9)
-
-
-def test_sliced_reader_refuses_unsliced_paths(pos_index):
-    """ADVICE #2: the slice-masked reader must refuse the paths that would
-    silently bypass the mask, and reject out-of-slice doc ids."""
-    from jesterj_ray.index.serving import _SlicedReader
-    r = _SlicedReader(pos_index, slice_id=0, n_slices=3)
-    with pytest.raises(NotImplementedError):
-        r.topk_pruned("import", 5)
-    with pytest.raises(NotImplementedError):
-        r.phrase_topk("import config", 5)
-    with pytest.raises(NotImplementedError):
-        r.positions("import")
-    # a pid belonging to another slice must raise, not mismap
-    other = [int(p) for p in IndexReader(pos_index)._pids
-             if p % 3 != 0]
-    if other:
-        with pytest.raises(ValueError):
-            r.dense_of(np.array([other[0] << 32], dtype=np.int64))
-    # its own slice still works and matches the full reader on its docs
-    full = IndexReader(pos_index)
-    mine = r.topk("import", 100)
-    full_hits = dict(full.topk("import", 10000))
-    for d, s in mine:
-        assert (d >> 32) % 3 == 0
-        assert s == pytest.approx(full_hits[d], abs=1e-12)
 
 
 def test_merge_refires_on_same_size_rewrite(small_corpus, tmp_path):

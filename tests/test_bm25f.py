@@ -154,33 +154,61 @@ def test_dedup_rejects_doc_key_partitioning(ray_session, tmp_path):
                     partition_by="doc_key")
 
 
-def test_bm25f_sharded_service_matches_full_reader(field_indexes):
-    """Two-phase sharded BM25F (df-gather then score) is rank- AND
-    score-identical to the unsharded reader: per-slice any-field union
-    counts sum to the exact global df because slice doc spaces are
-    disjoint."""
+@pytest.fixture(scope="module")
+def field_slices(field_indexes, tmp_path_factory):
+    from jesterj_ray.index.repartition import repartition_bm25f_for_serving
+    _, dirs = field_indexes
+    return repartition_bm25f_for_serving(
+        dirs, str(tmp_path_factory.mktemp("bm25f-slices4")), n_slices=4)
+
+
+def test_bm25f_sharded_service_matches_full_reader(field_indexes,
+                                                   field_slices, tmp_path):
+    """Two-phase sharded BM25F (df-gather then score) over repartitioned
+    slice families is rank- AND score-identical to the unsharded reader:
+    per-slice any-field union counts sum to the exact global df because
+    slice doc spaces are disjoint.  Holds for a tombstoned family too:
+    each slice carries its own docs' tombstones."""
+    import shutil
+    from jesterj_ray.index.query import delete_docs
+    from jesterj_ray.index.repartition import repartition_bm25f_for_serving
     from jesterj_ray.index.serving import BM25FShardedService
     table, dirs = field_indexes
-    full = BM25FReader(dirs)
-    svc = BM25FShardedService(dirs, n_slices=4)
-    try:
-        for query in ["merge sort", "dup", "window filter stream",
-                      "zzzabsent", "hash join dup"]:
-            want = full.topk(query, 10)
-            got = svc.topk(query, 10)
-            assert [d for d, _ in got] == [d for d, _ in want], query
-            for (_, gs), (_, ws) in zip(got, want):
-                assert math.isclose(gs, ws, rel_tol=0, abs_tol=1e-12), query
-    finally:
-        svc.shutdown()
+    dead = {f: str(tmp_path / f) for f in dirs}
+    for f, d in dirs.items():
+        shutil.copytree(d, dead[f])
+    victims = BM25FReader(dead).doc_keys(np.array(
+        [d for d, _ in BM25FReader(dead).topk("merge dup", 3)],
+        dtype=np.int64))
+    for d in dead.values():
+        assert delete_docs(d, victims) == 3
+    dead_slices = repartition_bm25f_for_serving(
+        dead, str(tmp_path / "slices"), n_slices=2)
+    for family, slices in ((dirs, field_slices), (dead, dead_slices)):
+        full = BM25FReader(family)
+        svc = BM25FShardedService(slices)
+        try:
+            for query in ["merge sort", "dup", "window filter stream",
+                          "zzzabsent", "hash join dup", "merge dup"]:
+                want = full.topk(query, 10)
+                got = svc.topk(query, 10)
+                assert [d for d, _ in got] == [d for d, _ in want], query
+                for (_, gs), (_, ws) in zip(got, want):
+                    assert math.isclose(gs, ws, rel_tol=0, abs_tol=1e-12), \
+                        query
+        finally:
+            svc.shutdown()
+    assert not set(victims) & set(BM25FReader(dead).doc_keys(np.array(
+        [d for d, _ in BM25FReader(dead).topk("merge dup", 10)],
+        dtype=np.int64)))
 
 
-def test_bm25f_slice_df_partials_sum_to_global(field_indexes):
+def test_bm25f_slice_df_partials_sum_to_global(field_indexes, field_slices):
     table, dirs = field_indexes
     full = BM25FReader(dirs)
     terms = ["merge", "dup", "stream", "zzzabsent"]
     want = full.term_union_df(terms)
-    sliced = [BM25FReader(dirs, slice_of=(s, 4)) for s in range(4)]
+    sliced = [BM25FReader(d) for d in field_slices]
     got = {t: sum(r.term_union_df([t])[t] for r in sliced) for t in terms}
     assert got == want
 
@@ -371,11 +399,10 @@ def test_parse_boosted_query_rejects_nonfinite():
     assert b == [1.0] * 7 + [20.0]
 
 
-def test_bm25f_service_arg_validation(field_indexes):
-    from jesterj_ray.index.serving import BM25FShardedService
-    table, dirs = field_indexes
-    with pytest.raises(ValueError, match="exactly one"):
-        BM25FShardedService()
-    with pytest.raises(ValueError, match="exactly one"):
-        BM25FShardedService(field_dirs=dirs,
-                            field_slice_dirs=[dirs])
+def test_bm25f_service_arg_validation():
+    from jesterj_ray.index.serving import (BM25FShardedService,
+                                           ShardedQueryService)
+    with pytest.raises(ValueError, match="slice dirs"):
+        BM25FShardedService([])
+    with pytest.raises(ValueError, match="slice dirs"):
+        ShardedQueryService([])

@@ -146,29 +146,41 @@ def test_change_col_mismatch_refused(ray_session, tmp_path):
 def test_watch_loop_family_with_serving_reopen(ray_session, tmp_path):
     """The full deployment cycle: family watch loop (base build, per-doc
     deltas, per-field compaction) publishing while a sharded BM25F
-    service stays up via on_publish=svc.reopen — every cycle's queries
+    service stays up — on_publish re-splits the compacted family into
+    the same slice root and reopens the service — every cycle's queries
     equal a fresh unsharded reader over the current corpus."""
     from jesterj_ray.index.bm25f import watch_and_reindex_fields
+    from jesterj_ray.index.repartition import repartition_bm25f_for_serving
     from jesterj_ray.index.serving import BM25FShardedService
     df = make_split(n=160, seed=9)
     src = str(tmp_path / "w.parquet")
     write_split(df, src)
     dirs = {f: str(tmp_path / f"w_{f}") for f in FIELDS}
+    root = str(tmp_path / "slices")
     loop = watch_and_reindex_fields(
         src, dirs, change_col="text", key_col="doc_id",
         tokenizer="simple", interval_s=0.0, max_cycles=4,
         docs_per_partition=64, num_shards=4, compact_every=1)
     svc = None
+
+    def resplit_and_reopen(stats):
+        # a cycle without compaction leaves a delta-built (exact_stats)
+        # family that cannot be re-split: serving keeps its last split
+        if "compaction" in stats:
+            repartition_bm25f_for_serving(dirs, root, n_slices=2)
+            svc.reopen()
+
     try:
         stats = next(loop)
         assert stats["mode"] == "base"
-        svc = BM25FShardedService(field_dirs=dirs, n_slices=2,
-                                  reopen_on_change=True)
+        svc = BM25FShardedService(
+            repartition_bm25f_for_serving(dirs, root, n_slices=2),
+            reopen_on_change=True)
         assert svc.topk("alpha omega", 10) == \
             BM25FReader(dirs).topk("alpha omega", 10)
 
         # cycle 2: one change; compact_every=1 folds tombstones so the
-        # masked slices reopen cleanly
+        # family re-splits and the slices reopen cleanly
         df.loc[5, "body"] = df.loc[5, "body"] + " omega omega"
         df.loc[5, "text"] = f"{df.loc[5, 'title']} {df.loc[5, 'body']}"
         write_split(df, src)
@@ -176,7 +188,7 @@ def test_watch_loop_family_with_serving_reopen(ray_session, tmp_path):
             src, dirs, change_col="text", key_col="doc_id",
             tokenizer="simple", interval_s=0.0, max_cycles=1,
             docs_per_partition=64, num_shards=4, compact_every=1,
-            on_publish=lambda s: svc.reopen())
+            on_publish=resplit_and_reopen)
         stats = next(loop2)
         assert stats["mode"] == "delta"
         assert all(s["reindexed_docs"] == 1
@@ -191,7 +203,7 @@ def test_watch_loop_family_with_serving_reopen(ray_session, tmp_path):
             src, dirs, change_col="text", key_col="doc_id",
             tokenizer="simple", interval_s=0.0, max_cycles=1,
             docs_per_partition=64, num_shards=4,
-            on_publish=lambda s: svc.reopen())
+            on_publish=resplit_and_reopen)
         stats = next(loop3)
         assert all(s["reindexed_docs"] == 0
                    for s in stats["fields"].values())

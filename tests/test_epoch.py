@@ -156,33 +156,37 @@ def test_compaction_vs_pinned_reader(tmp_path):
 def test_sharded_service_reopens_across_delta_and_compaction(
         ray_session, tmp_path):
     """r03 VERDICT #7: with ``reopen_on_change=True`` the sharded
-    service survives a whole writer cycle (per-doc delta, then
-    compaction that REPLACES pinned files) — queries keep succeeding,
-    post-reopen results equal a fresh reader, and a pre-epoch reader's
-    results stay unchanged throughout (the watch loop can publish while
-    serving stays up)."""
+    service survives a whole writer cycle (per-doc delta on the source,
+    compaction, re-split into the SAME slice root, which REPLACES pinned
+    slice files) — queries keep succeeding, post-reopen results equal a
+    fresh reader, and a pre-epoch reader's results stay unchanged
+    throughout (the watch loop can publish while serving stays up)."""
     from jesterj_ray.index.compact import compact_index
+    from jesterj_ray.index.repartition import repartition_for_serving
     from jesterj_ray.index.serving import ShardedQueryService
     df = _docs(300)
     src = str(tmp_path / "c.parquet")
     _write(df, src)
     out = str(tmp_path / "idx")
     build_index_rows(src, out, **KW)
-    svc = ShardedQueryService(out, n_slices=2, reopen_on_change=True)
+    root = str(tmp_path / "slices")
+    slices = repartition_for_serving(out, root, n_slices=2)
+    svc = ShardedQueryService(slices, reopen_on_change=True)
     before = svc.topk("omega", 20)
     pre = IndexReader(out)
     assert pre.topk("omega", 20) == before  # sharded == unsharded
-    # delta cycle: generational append — service actors stay pinned on
-    # the build epoch and keep serving the old view without error
+    # delta cycle: generational append to the source — the slices are
+    # untouched and keep serving the old view without error
     df.loc[7, "text"] = "omega omega omega omega"
     _write(df, src)
     delta_reindex(src, out, **KW)
     assert svc.topk("omega", 20) == before
     assert pre.topk("omega", 20) == before
-    # compaction REPLACES pinned segment/doc files: the actors' next
-    # cold fetch raises IndexChangedError -> the service reopens every
-    # actor at the compacted epoch and retries
+    # compaction + re-split REPLACES pinned slice files: the actors'
+    # next cold fetch raises IndexChangedError -> the service reopens
+    # every actor at the new split's epoch and retries
     assert compact_index(out)["compacted_partitions"] > 0
+    assert repartition_for_serving(out, root, n_slices=2) == slices
     fresh = IndexReader(out)
     assert svc.topk("alpha", 30) == fresh.topk("alpha", 30)  # cold term
     assert svc.topk("omega", 30) == fresh.topk("omega", 30)
@@ -190,28 +194,43 @@ def test_sharded_service_reopens_across_delta_and_compaction(
         fresh.topk("beta", 10), fresh.topk("gamma", 10)]
     svc.shutdown()
     # without the opt-in, the same cycle surfaces the honest error
-    svc2 = ShardedQueryService(out, n_slices=2)
+    svc2 = ShardedQueryService(slices)
     svc2.topk("omega", 5)  # warm the actors on this epoch
     df.loc[9, "text"] = "gamma gamma gamma"
     _write(df, src)
     delta_reindex(src, out, **KW)
     compact_index(out)
+    repartition_for_serving(out, root, n_slices=2)
     with pytest.raises(Exception) as ei:
         for term in ("alpha", "beta", "delta", "omega", "gamma"):
             svc2.topk(term, 5)
     from jesterj_ray.index.serving import _caused_by_index_change
     assert _caused_by_index_change(ei.value)
+    # a reopen that fails on one slice (a pinned file briefly missing)
+    # must not leave the other slice's new reader merging with a stale
+    # one: the next fan-out reopens every actor first
+    doc = next(r for r in read_epoch(slices[1])["files"]
+               if r.startswith("docs/"))
+    hidden = os.path.join(slices[1], doc)
+    os.rename(hidden, hidden + ".moved")
+    with pytest.raises(Exception) as ei:
+        svc2.reopen()
+    assert _caused_by_index_change(ei.value)
+    os.rename(hidden + ".moved", hidden)
+    assert svc2.topk("omega", 30) == IndexReader(out).topk("omega", 30)
     svc2.shutdown()
 
 
 def test_bm25f_service_reopens_after_family_delta_and_compaction(
         ray_session, tmp_path):
     """BM25F sharded serving across a family delta + per-field
-    compaction: masked slices refuse tombstoned families, so the reopen
-    lands only after BOTH fields compact — then queries succeed with
-    exact parity to a fresh unsharded BM25FReader."""
+    compaction: a delta-built family cannot be re-split until every
+    field compacts; the re-split into the same slice root then lands
+    with one explicit reopen, and queries succeed with exact parity to a
+    fresh unsharded BM25FReader."""
     from jesterj_ray.index.bm25f import BM25FReader, delta_reindex_fields
     from jesterj_ray.index.compact import compact_index
+    from jesterj_ray.index.repartition import repartition_bm25f_for_serving
     from jesterj_ray.index.serving import BM25FShardedService
     rng = np.random.default_rng(5)
     vocab = ["alpha", "beta", "gamma", "omega"] + \
@@ -231,8 +250,9 @@ def test_bm25f_service_reopens_after_family_delta_and_compaction(
         build_index_rows(src, d, text_col=f, key_col="rid",
                          tokenizer="simple", docs_per_partition=64,
                          num_shards=2, change_col="text")
-    svc = BM25FShardedService(field_dirs=dirs, n_slices=2,
-                              reopen_on_change=True)
+    root = str(tmp_path / "slices")
+    slices = repartition_bm25f_for_serving(dirs, root, n_slices=2)
+    svc = BM25FShardedService(slices, reopen_on_change=True)
     before = svc.topk("omega alpha", 15)
     assert before == BM25FReader(dirs).topk("omega alpha", 15)
     df.loc[7, "body"] = "omega omega omega"
@@ -241,13 +261,16 @@ def test_bm25f_service_reopens_after_family_delta_and_compaction(
     delta_reindex_fields(src, dirs, change_col="text", key_col="rid",
                          tokenizer="simple", docs_per_partition=64,
                          num_shards=2)
+    with pytest.raises(ValueError, match="exact_stats"):
+        repartition_bm25f_for_serving(dirs, root, n_slices=2)
     for d in dirs.values():
         compact_index(d)
+    assert repartition_bm25f_for_serving(dirs, root, n_slices=2) == slices
     # warm actors keep serving the pinned pre-delta epoch CONSISTENTLY
     # (open handles outlive the os.replace) — correct, but stale
     assert svc.topk("omega alpha", 15) == before
     # the publisher's notification (Solr searcher-swap analog): one
-    # explicit reopen re-pins every slice at the compacted epoch
+    # explicit reopen re-pins every slice at the new split's epoch
     svc.reopen()
     fresh = BM25FReader(dirs)
     assert svc.topk("beta gamma", 10) == fresh.topk("beta gamma", 10)
@@ -257,15 +280,17 @@ def test_bm25f_service_reopens_after_family_delta_and_compaction(
 
 
 def test_epoch_chaos_concurrent_reader_writer(ray_session, tmp_path):
-    """r04 VERDICT #8: delta+compact writer cycles in a background
-    thread while a ShardedQueryService answers queries — every answer
-    must equal SOME published epoch's snapshot (never a torn view), or
-    surface as an honest IndexChangedError; after the dust settles the
-    service equals a fresh reader."""
+    """r04 VERDICT #8: delta -> compact -> re-split writer cycles in a
+    background thread while a ShardedQueryService answers queries from
+    the slice root — every answer must equal SOME published split's
+    snapshot (never a torn view), or surface as an honest
+    IndexChangedError; after the dust settles the service equals a fresh
+    reader."""
     import threading
     import time
 
     from jesterj_ray.index.compact import compact_index
+    from jesterj_ray.index.repartition import repartition_for_serving
     from jesterj_ray.index.serving import (ShardedQueryService,
                                            _caused_by_index_change)
     df = _docs(260, seed=11)
@@ -273,6 +298,8 @@ def test_epoch_chaos_concurrent_reader_writer(ray_session, tmp_path):
     _write(df, src)
     out = str(tmp_path / "idx")
     build_index_rows(src, out, **KW)
+    root = str(tmp_path / "slices")
+    slices = repartition_for_serving(out, root, n_slices=2)
     queries = ["omega", "alpha", "gamma beta"]
     k = 15
     snapshots = {q: [IndexReader(out).topk(q, k)] for q in queries}
@@ -286,12 +313,9 @@ def test_epoch_chaos_concurrent_reader_writer(ray_session, tmp_path):
                 df.loc[90 + cycle, "text"] = "gamma beta gamma"
                 _write(df, src)
                 delta_reindex(src, out, **KW)
-                with snap_lock:
-                    r = IndexReader(out)
-                    for q in queries:
-                        snapshots[q].append(r.topk(q, k))
                 time.sleep(0.05)
                 compact_index(out)
+                repartition_for_serving(out, root, n_slices=2)
                 with snap_lock:
                     r = IndexReader(out)
                     for q in queries:
@@ -300,7 +324,7 @@ def test_epoch_chaos_concurrent_reader_writer(ray_session, tmp_path):
         except BaseException as e:          # surfaced in the main thread
             writer_err.append(e)
 
-    svc = ShardedQueryService(out, n_slices=2, reopen_on_change=True)
+    svc = ShardedQueryService(slices, reopen_on_change=True)
     try:
         for q in queries:
             assert svc.topk(q, k) == snapshots[q][0]

@@ -224,13 +224,22 @@ def test_positions_and_phrase_queries(small_corpus, tmp_path):
             assert s1 == pytest.approx(s2, abs=1e-9)
 
 
-def test_sharded_serving_rank_identical(built):
-    """Doc-range-sharded actor serving == full-index reader exactly (each
-    shard scores its slice with GLOBAL stats, driver merges k-lists)."""
+def test_sharded_serving_rank_identical(small_corpus, tmp_path):
+    """Doc-range-sharded actor serving over repartitioned slice dirs ==
+    full-index reader exactly (each slice scores its docs with GLOBAL
+    stats, the driver merges k-lists), for top-k and phrase queries."""
+    import pyarrow.parquet as pq
+    from jesterj_ray.index.build_rows import build_index_rows
+    from jesterj_ray.index.repartition import repartition_for_serving
     from jesterj_ray.index.serving import ShardedQueryService
-    out, _ = built
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(small_corpus, src, row_group_size=64)
+    out = str(tmp_path / "idx")
+    build_index_rows(src, out, text_col="content", tokenizer="code",
+                     docs_per_partition=64, num_shards=4, positions=True)
     full = IndexReader(out)
-    svc = ShardedQueryService(out, n_slices=3)
+    svc = ShardedQueryService(repartition_for_serving(
+        out, str(tmp_path / "slices"), n_slices=3))
     try:
         for q in REFERENCE_QUERIES:
             a = full.topk(q["query"], q["k"])
@@ -238,11 +247,24 @@ def test_sharded_serving_rank_identical(built):
             assert [x[0] for x in a] == [x[0] for x in b], q
             for (d1, s1), (d2, s2) in zip(a, b):
                 assert s1 == pytest.approx(s2, abs=1e-12)
+        for phrase, k in [("import config", 10), ("return parse", 5),
+                          ("zzz absent phrase", 10)]:
+            a = full.phrase_topk(phrase, k)
+            b = svc.phrase_topk(phrase, k)
+            assert [x[0] for x in a] == [x[0] for x in b], phrase
+            for (d1, s1), (d2, s2) in zip(a, b):
+                assert s1 == pytest.approx(s2, abs=1e-12)
         # throughput path: one RPC per actor for the whole batch — must
-        # return exactly what per-query topk() returns, in order
-        batch = [(q["query"], q["k"]) for q in REFERENCE_QUERIES]
+        # return exactly what per-query topk() returns, in order; the
+        # shared k-list merge stops at k, returns every hit when k
+        # exceeds them, and nothing for a query without hits
+        batch = [(q["query"], q["k"]) for q in REFERENCE_QUERIES] + \
+            [("encodeBuffer", 10_000), ("zzz_absent_term", 3)]
         many = svc.topk_many(batch)
         assert many == [svc.topk(q, k) for q, k in batch]
+        assert [len(h) for h in many[-2:]] == \
+            [len(full.topk("encodeBuffer", 10_000)), 0]
+        assert 0 < len(many[-2]) < 10_000
     finally:
         svc.shutdown()
 

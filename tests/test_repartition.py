@@ -98,33 +98,89 @@ def test_repartition_carries_tombstones(small_corpus, tmp_path):
     assert [x[0] for x in want] == [x[0] for x in got]
 
 
-def test_repartition_streams_with_tiny_flush(split_index, monkeypatch):
-    """Forcing 1-row flush buffers must produce identical slice segments
-    (bounded-memory split, like the merge's streaming test)."""
-    import pyarrow.parquet as pq2
-    from jesterj_ray.index import repartition as rp
+def test_resplit_into_same_root_drops_stale_files(small_corpus, tmp_path):
+    """The serving writer cycle (compact the source, re-split into the
+    SAME slice root) must leave no file of the earlier split behind: a
+    stale tombstones.json masks live renumbered docs, a doc table the
+    plan moved would sit in two slices, a shard past the new num_shards
+    is never read."""
+    import os
+    from jesterj_ray.index.compact import compact_index
+    from jesterj_ray.index.epoch import read_epoch
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(small_corpus, src, row_group_size=64)
+    out = str(tmp_path / "idx")
+    build_index_rows(src, out, text_col="content", tokenizer="code",
+                     docs_per_partition=64, num_shards=4)
+    g0 = IndexReader(out)
+    victims = g0.doc_keys(np.array([h[0] for h in g0.topk("import", 5)],
+                                   dtype=np.int64))
+    assert delete_docs(out, victims) == 5
+    root = str(tmp_path / "slices")
+    slice_dirs = repartition_for_serving(out, root, n_slices=2)
+    assert any(os.path.exists(os.path.join(d, "tombstones.json"))
+               for d in slice_dirs)
+
+    def check(index_dir, slice_dirs):
+        g = IndexReader(index_dir)
+        readers = [IndexReader(d) for d in slice_dirs]
+        assert sum(r.n_dense for r in readers) == g.n_dense
+        for q in ("import", "return", "import return"):
+            want = g.topk(q, 20)
+            got = merged_topk(readers, "topk", q, 20)
+            assert [x[0] for x in want] == [x[0] for x in got], q
+            for (_, a), (_, b) in zip(want, got):
+                assert a == pytest.approx(b, abs=1e-12)
+        for d in slice_dirs:  # the published epoch is exactly what is on disk
+            on_disk = {f"{sub}/{n}" for sub in ("docs", "segments")
+                       for n in os.listdir(os.path.join(d, sub))}
+            on_disk |= {n for n in ("stats.json", "tombstones.json")
+                        if os.path.exists(os.path.join(d, n))}
+            assert set(read_epoch(d)["files"]) == on_disk
+
+    compact_index(out)
+    assert not os.path.exists(os.path.join(out, "tombstones.json"))
+    assert repartition_for_serving(out, root, n_slices=2) == slice_dirs
+    check(out, slice_dirs)
+    assert not any(os.path.exists(os.path.join(d, "tombstones.json"))
+                   for d in slice_dirs)
+    # a rebuild with fewer shards and smaller partitions: surplus shard
+    # files and doc tables the plan moved must go too
+    out2 = str(tmp_path / "idx2")
+    build_index_rows(src, out2, text_col="content", tokenizer="code",
+                     docs_per_partition=32, num_shards=2)
+    assert repartition_for_serving(out2, root, n_slices=2) == slice_dirs
+    for d in slice_dirs:
+        assert sorted(os.listdir(os.path.join(d, "segments"))) == \
+            ["shard-0000.parquet", "shard-0001.parquet"]
+    check(out2, slice_dirs)
+
+
+def test_repartition_deterministic(split_index, tmp_path):
+    """A second distributed split of the same index writes the same
+    slice segment tables (shard tasks run in any order on any worker)."""
     out, slice_dirs = split_index
-    import tempfile
-    d2 = tempfile.mkdtemp()
-    monkeypatch.setattr(rp, "REPART_FLUSH_ROWS", 1)
-    dirs2 = rp.repartition_for_serving(out, d2, n_slices=3)
+    dirs2 = repartition_for_serving(out, str(tmp_path / "again"),
+                                    n_slices=3)
     for a, b in zip(slice_dirs, dirs2):
         for s in range(4):
-            ta = pq2.read_table(f"{a}/segments/shard-{s:04d}.parquet")
-            tb = pq2.read_table(f"{b}/segments/shard-{s:04d}.parquet")
-            assert ta.sort_by("term").equals(tb.sort_by("term"))
+            name = f"segments/shard-{s:04d}.parquet"
+            assert pq.read_table(f"{a}/{name}").equals(
+                pq.read_table(f"{b}/{name}"))
 
 
+@pytest.mark.parametrize("flush_rows", [1, 5])
 def test_split_shard_bounded_decode_equal(split_index, tmp_path,
-                                          monkeypatch):
+                                          monkeypatch, flush_rows):
     """Splitting a shard in-process with a tiny decode slab (rows decode
-    a few postings at a time, big rows alone) and a 5-row flush writes
-    the same slice segment tables as the default split."""
+    a few postings at a time, big rows alone) and 1- or 5-row flushes
+    writes the same slice segment tables as the default split.  In
+    process, because the patched constants would not reach Ray workers."""
     import os
     from jesterj_ray.index import repartition as rp
     out, slice_dirs = split_index
     monkeypatch.setattr(rp, "REPART_DECODE_POSTINGS", 3)
-    monkeypatch.setattr(rp, "REPART_FLUSH_ROWS", 5)
+    monkeypatch.setattr(rp, "REPART_FLUSH_ROWS", flush_rows)
     assign = rp._plan_slices(os.path.join(out, "docs"), 3)
     for shard in range(4):
         rp._split_shard(out, str(tmp_path), shard, 3, assign)
