@@ -6,7 +6,7 @@ here (or in jesterj_ray) calls ray.init()/ray.shutdown().
 Every entry in ``queries()`` is an implemented operator/pipeline from
 SURVEY.md §2 (JesterJ processor analogs, the inverted-index/BM25/phrase
 flagship, plus the training-data operators: dedup, ANN, text analysis) —
-51 entries, 44 with DuckDB oracles.  Column names match the paired
+189 entries, 171 with DuckDB oracles.  Column names match the paired
 ``oracle_sql()`` exactly; float columns are rounded identically on both
 sides.  Rows-only entries (no faithful ANSI-SQL analog) are each pinned
 by in-repo property/golden tests instead (see tests/test_dedup.py,

@@ -236,8 +236,9 @@ def cmd_verify_index(args) -> int:
     cross-checks.  Reads the whole source on the driver: a spot-check
     tool for operators, not the distributed stats pipeline.
 
-    Delta-aware: on an index with tombstones (delta-reindexed), token
-    totals count ALIVE docs only, the vocabulary check is SKIPPED
+    Delta-aware: on an index with tombstones (delta-reindexed or
+    ``delete_docs``), doc count and token totals count ALIVE docs
+    only, the vocabulary check is SKIPPED
     (Lucene df semantics keep stale terms until compaction — a
     healthy delta index would otherwise fail), and key lookups pick
     the alive copy of an updated doc (delta pids strictly ascend)."""
@@ -262,11 +263,14 @@ def cmd_verify_index(args) -> int:
     n_docs, total = len(texts), sum(len(d) for d in toks)
     vocab = len({w for d in toks for w in d})
     has_tombs = bool(reader._tombstone.any())
-    if int(reader.n_docs) != n_docs:
-        problems.append(f"n_docs: index {reader.n_docs} != source {n_docs}")
     # _dl_dense (same internal index_stats_summary reads): alive-only
-    # totals so a delta-reindexed index verifies against its source
+    # counts and totals, so an index with tombstones (delta-built, or
+    # delete_docs on a build whose n_docs stays as-built) verifies
+    # against its source
     alive = ~reader._tombstone
+    idx_docs = int(alive.sum()) if has_tombs else int(reader.n_docs)
+    if idx_docs != n_docs:
+        problems.append(f"n_docs: index {idx_docs} != source {n_docs}")
     idx_total = int(reader._dl_dense[alive].sum())
     if idx_total != total:
         problems.append(f"total_tokens: index {idx_total} != source {total}")

@@ -75,6 +75,10 @@ class IndexReader:
             OrderedDict()
         self._entry_cache: "OrderedDict[str, dict]" = OrderedDict()
         self._postings_cache_max = 512
+        # decoded position keys per term (_pos_keys), bounded by bytes:
+        # they are tf-sized, so an entry count would not bound memory
+        self._pos_cache: "OrderedDict[str, np.ndarray]" = OrderedDict()
+        self._pos_cache_bytes = 0
         # doc lengths (numpy per partition: dl lookup is array indexing)
         # and doc_key kept as Arrow arrays — NEVER to_pylist'd wholesale
         self._dl: Dict[int, np.ndarray] = {}
@@ -373,33 +377,61 @@ class IndexReader:
             self._postings_cache.popitem(last=False)
         return docs, tfs
 
-    def positions(self, term: str):
-        """(docs, tfs, flat_positions, per-doc start offsets).  Positions
-        are absolute token indices within each doc, ascending per doc.
-        Requires an index built with positions=True."""
+    _POS_CACHE_BYTES = 32 << 20  # decoded position keys kept per reader
+    _LOW = (1 << 32) - 1         # position bits of a position key
+
+    def _pos_keys(self, term: str) -> np.ndarray:
+        """Sorted int64 position keys ``dense_doc << 32 | position`` of
+        every occurrence of ``term`` — one array per term, decoded once
+        and kept in a byte-bounded LRU.  Dense doc numbers belong to
+        this reader's epoch pin, so the keys are never shared between
+        readers.  Position counts come from the cached ``postings()``
+        tfs, so ``tf_blob`` is not decoded twice.  Requires an index
+        built with positions=True."""
+        cached = self._pos_cache.get(term)
+        if cached is not None:
+            self._pos_cache.move_to_end(term)
+            return cached
         e = self.term_entry(term)
         if e is None:
-            z = np.empty(0, dtype=np.int64)
-            return z, z, z, z
+            return np.empty(0, dtype=np.int64)
+        if self.n_dense >= 1 << 31:
+            raise ValueError(f"{self.n_dense} docs do not fit a position key")
         docs, tfs = self.postings(term)
-        pos_parts = []
-        for c in e["chunks"]:
+        parts, at = [], 0
+        for c in e["chunks"]:  # chunks ascend in doc order
             if "pos_blob" not in c:
                 raise ValueError("index was built without positions=True")
-            n_pos = int(varbyte_decode(c["tf_blob"], c["count"]).sum())
-            pos_parts.append(varbyte_decode(c["pos_blob"], n_pos)
-                             .astype(np.int64))
-        flat = np.concatenate(pos_parts) if pos_parts else \
-            np.empty(0, dtype=np.int64)
+            n_pos = int(tfs[at:at + c["count"]].sum())
+            parts.append(varbyte_decode(c["pos_blob"], n_pos)
+                         .astype(np.int64))
+            at += c["count"]
         # deltas restart per doc: per-doc cumsum via global prefix sums
-        # minus the prefix carried in from the previous doc's segment
-        starts = np.cumsum(tfs) - tfs
-        if flat.size:
-            seg_prefix = np.cumsum(flat)
-            prev = np.zeros(len(tfs), dtype=np.int64)
-            prev[1:] = seg_prefix[starts[1:] - 1]
-            flat = seg_prefix - np.repeat(prev, tfs)
-        return docs, tfs, flat, starts
+        # minus the prefix carried in from the previous doc, with the
+        # doc's key base added in the same pass
+        prefix = np.cumsum(np.concatenate(parts))
+        ends = np.cumsum(tfs)
+        prev = np.zeros(tfs.size, dtype=np.int64)
+        prev[1:] = prefix[ends[:-1] - 1]
+        if int((prefix[ends - 1] - prev).max()) > self._LOW:
+            raise ValueError(f"term {term!r} has a position >= 2**32")
+        keys = prefix + np.repeat((self.dense_of(docs) << 32) - prev, tfs)
+        self._pos_cache[term] = keys
+        self._pos_cache_bytes += keys.nbytes
+        while self._pos_cache_bytes > self._POS_CACHE_BYTES:
+            _, old = self._pos_cache.popitem(last=False)
+            self._pos_cache_bytes -= old.nbytes
+        return keys
+
+    def positions(self, term: str):
+        """(docs, tfs, flat_positions, per-doc start offsets): the
+        term's postings with each doc's positions (absolute token
+        indices, ascending) at ``flat[starts[j]: starts[j] + tfs[j]]``.
+        A view of the cached position keys (:meth:`_pos_keys`).
+        Requires an index built with positions=True."""
+        keys = self._pos_keys(term)
+        docs, tfs = self.postings(term)
+        return docs, tfs, keys & self._LOW, np.cumsum(tfs) - tfs
 
     def phrase_topk(self, query: str, k: int = 10,
                     pos_range: Optional[Tuple[int, int]] = None):
@@ -408,74 +440,61 @@ class IndexReader:
         distinct terms (ascending doc_id ties).  Single-token phrases
         reduce to topk().
 
+        Matching runs on the cached position keys: the phrase starts
+        ``key - r`` of the rarest term r (offset r in the phrase) are
+        kept while ``start + i`` is a key of term i, one
+        ``searchsorted`` per other term.  Starts stay inside their doc
+        (low bits >= 0, end <= 2**32), so a match never crosses a doc
+        boundary.
+
         ``pos_range=(lo, hi)``: accept only matches whose whole span
         lies in token positions [lo, hi) — the field-scoped phrase for
         derived-band fields (BM25F title = positions < N; body =
-        positions >= N), costing one vectorized key filter."""
+        positions >= N), one mask on the starts' low bits."""
         terms = self.tokenizer(query)
         if not terms:
             return []
         if len(terms) == 1 and pos_range is None:
             return self.topk(query, k)
-        per_term = []
-        for t in terms:
-            docs, tfs, pos, starts = self.positions(t)
-            if docs.size == 0:
-                return []
-            per_term.append((docs, tfs, pos, starts))
-        cand = per_term[0][0]
-        for docs, *_ in per_term[1:]:
-            cand = cand[np.isin(cand, docs, assume_unique=True)]
-        if cand.size == 0:
+        # a repeated term decodes once even if its keys outgrow the cache
+        by_term = {t: self._pos_keys(t) for t in terms}
+        keys = [by_term[t] for t in terms]
+        sizes = [kk.size for kk in keys]
+        if min(sizes) == 0:
             return []
-        # vectorized adjacency across ALL candidates at once (no
-        # per-candidate Python loop): encode each term's candidate
-        # positions as cand_idx * M + (pos - term_offset + L); a phrase
-        # start survives iff its key appears in every term's key set
-        L = len(terms)
-        M = max(int(p[2].max()) if p[2].size else 0 for p in per_term) \
-            + 2 * L + 2
-        keys = None
-        for i, pt in enumerate(per_term):
-            c_of, pos_f = self._candidate_positions(pt, cand)
-            term_keys = c_of * M + (pos_f - i + L)
-            if i == 0:
-                keys = term_keys
-            else:
-                keys = keys[np.isin(keys, term_keys, assume_unique=True)]
-            if keys.size == 0:
+        lo, hi = pos_range if pos_range is not None else (0, 1 << 32)
+        lo, hi = max(lo, 0), min(hi, 1 << 32)
+        order = np.argsort(sizes, kind="stable")    # rarest term first
+        r = int(order[0])
+        start = (keys[r] & self._LOW) - r
+        s = keys[r][(start >= lo) & (start + len(terms) <= hi)] - r
+        for i in order[1:]:
+            if s.size == 0:
                 return []
-        if pos_range is not None:
-            # every term's key for a match at start p encodes p + L, so
-            # the span filter is one arithmetic mask on the common keys
-            start = keys % M - L
-            keys = keys[(start >= pos_range[0])
-                        & (start + L <= pos_range[1])]
-            if keys.size == 0:
-                return []
-        matched_set = cand[np.unique(keys // M)]
-        return self._score_phrase_matches(matched_set, terms, k)
+            want = s + int(i)
+            at = np.minimum(np.searchsorted(keys[i], want), keys[i].size - 1)
+            s = s[keys[i][at] == want]
+        if s.size == 0:
+            return []
+        return self._score_phrase_matches(np.unique(s >> 32), terms, k)
 
-    def _score_phrase_matches(self, matched_set: np.ndarray, terms,
-                              k: int):
-        """Shared phrase tail: tombstone filter + BM25 over the
-        phrase's distinct terms, ascending doc_id ties."""
-        if self._tombstone.any():
-            matched_set = matched_set[~self._tombstone[
-                self.dense_of(matched_set)]]
-        if matched_set.size == 0:
+    def _score_phrase_matches(self, dense: np.ndarray, terms, k: int):
+        """Shared phrase tail over matched dense doc numbers (each holds
+        every phrase term): tombstone filter + BM25 over the phrase's
+        distinct terms, ascending doc_id ties."""
+        dense = dense[~self._tombstone[dense]]
+        if dense.size == 0:
             return []
-        scores = np.zeros(matched_set.size, dtype=np.float64)
+        scores = np.zeros(dense.size, dtype=np.float64)
         for t in dedup_keep_order(terms):
             docs, tfs = self.postings(t)
-            pos = np.clip(np.searchsorted(docs, matched_set), 0, docs.size - 1)
-            hit = docs[pos] == matched_set
-            e = self.term_entry(t)
-            df = self._df_alive(e, self.dense_of(docs))
-            scores[hit] += self._term_contrib(matched_set[hit],
-                                              tfs[pos[hit]], df)
-        order = np.lexsort((matched_set, -scores))[:k]
-        return [(int(matched_set[i]), float(scores[i])) for i in order]
+            td = self.dense_of(docs)
+            scores += self._term_contrib_dense(
+                dense, tfs[np.searchsorted(td, dense)],
+                self._df_alive(self.term_entry(t), td))
+        order = np.lexsort((dense, -scores))[:k]
+        ids = self.doc_id_of_dense(dense[order])
+        return [(int(d), float(scores[i])) for d, i in zip(ids, order)]
 
     def phrase_slop_topk(self, query: str, slop: int = 0, k: int = 10):
         """Sloppy phrase (Lucene ``"a b"~N``'s ordered core): docs
@@ -486,10 +505,11 @@ class IndexReader:
         phrase's distinct terms; Lucene's proximity-weighted variant is
         an intentional divergence, documented for SQL-oracle parity).
 
-        Vectorized chain propagation: term i+1's candidate (doc, pos)
-        keys survive iff key - g is a surviving key of term i for some
-        g in 1..slop+1 — (slop+1) ``isin`` passes per term, no per-doc
-        Python."""
+        Chain propagation on the cached position keys: term i+1's key
+        survives iff key - g is a surviving key of term i for some g in
+        1..slop+1 and its position is >= g (a gap never reaches into
+        the previous doc) — (slop+1) ``searchsorted`` probes per term,
+        no per-doc Python."""
         terms = self.tokenizer(query)
         if not terms:
             return []
@@ -497,55 +517,21 @@ class IndexReader:
             return self.topk(query, k)
         if slop == 0:
             return self.phrase_topk(query, k)
-        per_term = []
-        for t in terms:
-            docs, tfs, pos, starts = self.positions(t)
-            if docs.size == 0:
-                return []
-            per_term.append((docs, tfs, pos, starts))
-        cand = per_term[0][0]
-        for docs, *_ in per_term[1:]:
-            cand = cand[np.isin(cand, docs, assume_unique=True)]
-        if cand.size == 0:
-            return []
-        L = len(terms)
-        max_pos = max(int(p[2].max()) if p[2].size else 0
-                      for p in per_term)
-        M = max_pos + (slop + 1) * L + 2
-        c0, p0 = self._candidate_positions(per_term[0], cand)
-        reach = c0.astype(np.int64) * M + p0
-        for i in range(1, L):
-            ci, pi = self._candidate_positions(per_term[i], cand)
-            keys_i = ci.astype(np.int64) * M + pi
-            ok = np.zeros(keys_i.size, dtype=bool)
-            for g in range(1, slop + 2):
-                ok |= np.isin(keys_i - g, reach, assume_unique=True)
-            reach = keys_i[ok]
+        reach = self._pos_keys(terms[0])
+        for t in terms[1:]:
             if reach.size == 0:
                 return []
-        matched_set = cand[np.unique(reach // M)]
-        return self._score_phrase_matches(matched_set, terms, k)
-
-    @staticmethod
-    def _doc_positions(pt, did) -> np.ndarray:
-        docs, tfs, pos, starts = pt
-        i = np.searchsorted(docs, did)
-        return pos[starts[i]: starts[i] + tfs[i]]
-
-    @staticmethod
-    def _candidate_positions(pt, cand: np.ndarray):
-        """All (candidate_index, position) pairs for the docs in ``cand``
-        (cand ⊆ pt docs), gathered with the arange/repeat trick — no
-        per-doc slicing loop."""
-        docs, tfs, pos, starts = pt
-        idx = np.searchsorted(docs, cand)
-        lens = tfs[idx]
-        total = int(lens.sum())
-        cum = np.cumsum(lens) - lens
-        flat = np.arange(total, dtype=np.int64) - np.repeat(cum, lens) \
-            + np.repeat(starts[idx], lens)
-        return np.repeat(np.arange(cand.size, dtype=np.int64), lens), \
-            pos[flat]
+            keys = self._pos_keys(t)
+            low = keys & self._LOW
+            ok = np.zeros(keys.size, dtype=bool)
+            for g in range(1, slop + 2):
+                want = keys - g
+                at = np.minimum(np.searchsorted(reach, want), reach.size - 1)
+                ok |= (low >= g) & (reach[at] == want)
+            reach = keys[ok]
+        if reach.size == 0:
+            return []
+        return self._score_phrase_matches(np.unique(reach >> 32), terms, k)
 
     def doc_len(self, doc_ids: np.ndarray) -> np.ndarray:
         out = np.empty(doc_ids.size, dtype=np.int64)

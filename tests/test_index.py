@@ -475,3 +475,165 @@ def test_query_modes_match_brute_force_random(reader, oracle, qt, xt, k):
         excluded |= set(bf.postings.get(t, {}))
     check(reader.topk_excluding(q, x, k),
           [h for h in ranked if h[0] not in excluded][:k])
+
+
+# ---- phrase matching on position keys: property test vs brute force ----
+
+_PVOCAB = ["ab", "cd", "ef", "gh", "kl"]
+
+
+def _phrase_docs(n, seed):
+    """Short docs over a tiny vocabulary (``ab`` is hot: its df is far
+    above the chunked variant's chunk_target), plus two planted
+    neighbours: doc 40 ends in ``zz`` and doc 41 starts with ``yy``, so
+    ``"zz yy"`` matches only if a phrase crossed a doc boundary."""
+    rng = np.random.default_rng(seed)
+    texts = [" ".join(rng.choice(_PVOCAB, size=int(L),
+                                 p=[.4, .2, .2, .1, .1]))
+             for L in rng.integers(0, 14, size=n)]
+    if n > 41:
+        texts[40], texts[41] = "kl ab zz", "yy ab cd"
+    return pd.DataFrame({"rid": np.arange(n, dtype=np.int64),
+                         "text": texts})
+
+
+@pytest.fixture(scope="module")
+def phrase_variants(tmp_path_factory):
+    """name -> (reader, tiny-cache reader, brute-force oracle, streams):
+    ``plain`` (one chunk per term), ``chunked`` (re-merged with an
+    8-posting chunk target) and ``delta`` (two delta rounds of edits,
+    deletes and appends: generations plus tombstones, exact stats).
+    The oracle indexes the ALIVE docs under the engine's doc ids."""
+    import os
+    import shutil
+    import pyarrow as pa
+    from jesterj_ray.index.build import merge_runs
+    from jesterj_ray.index.build_rows import build_index_rows, delta_reindex
+    from jesterj_ray.index.epoch import publish_epoch
+    from jesterj_ray.tokenize.tokenizer import simple_tokenize
+    tmp = tmp_path_factory.mktemp("phrase_props")
+    df = _phrase_docs(160, seed=5)
+
+    def write(frame, name):
+        path = str(tmp / f"{name}.parquet")
+        pq.write_table(pa.Table.from_pandas(frame, preserve_index=False),
+                       path, row_group_size=32)
+        return path
+
+    opts = dict(text_col="text", key_col="rid", tokenizer="simple",
+                docs_per_partition=32, num_shards=2, positions=True)
+    plain = str(tmp / "plain")
+    build_index_rows(write(df, "v0"), plain, **opts)
+    chunked = str(tmp / "chunked")
+    shutil.copytree(plain, chunked)
+    merge_dir = os.path.join(chunked, "manifest", "merge")
+    for f in os.listdir(merge_dir):
+        os.unlink(os.path.join(merge_dir, f))
+    merge_runs(chunked, 2, chunk_target=8)
+    publish_epoch(chunked)
+    delta = str(tmp / "delta")
+    build_index_rows(write(df, "d0"), delta, **opts)
+    cur = df
+    for rnd, seed in ((1, 6), (2, 7)):
+        extra = _phrase_docs(16, seed)
+        cur = cur.copy()
+        cur.loc[cur.index[5 * rnd:5 * rnd + 3], "text"] = \
+            extra["text"][:3].to_numpy()
+        cur = cur.drop(cur.index[20 * rnd:20 * rnd + 2])
+        extra["rid"] += 1000 * rnd
+        cur = pd.concat([cur, extra[3:]], ignore_index=True)
+        delta_reindex(write(cur, f"d{rnd}"), delta, **opts)
+
+    out = {}
+    for name, path, frame in (("plain", plain, df), ("chunked", chunked, df),
+                              ("delta", delta, cur)):
+        r = IndexReader(path)
+        tiny = IndexReader(path)
+        tiny._POS_CACHE_BYTES = 300     # evicts on almost every decode
+        text_of = {str(k).zfill(12): t
+                   for k, t in zip(frame["rid"], frame["text"])}
+        ids = r.doc_id_of_dense(np.flatnonzero(~r._tombstone))
+        texts = [text_of[key] for key in r.doc_keys(ids)]
+        assert len(texts) == len(frame)
+        streams = {int(d): simple_tokenize(t) for d, t in zip(ids, texts)}
+        bf = BruteForceIndex([int(d) for d in ids], texts, simple_tokenize)
+        out[name] = (r, tiny, bf, streams)
+    assert len(out["chunked"][0].term_entry("ab")["chunks"]) > 1
+    assert out["delta"][0]._tombstone.any()
+    assert len(out["delta"][0]._load_shard(
+        out["delta"][0]._shard_of("ab"))) > 1     # base + generations
+    return out
+
+
+def _ordered_gap_match(toks, terms, slop, lo=0, hi=1 << 62):
+    """Brute force: positions p_0 < ... < p_{L-1} with p_i = terms[i],
+    every gap p_{i+1} - p_i in [1, slop + 1], span inside [lo, hi)."""
+    reach = {p for p, t in enumerate(toks) if t == terms[0] and p >= lo}
+    for t in terms[1:]:
+        reach = {p for p, u in enumerate(toks) if u == t and
+                 any(p - g in reach for g in range(1, slop + 2))}
+    return any(p < hi for p in reach)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(variant=st.sampled_from(["plain", "chunked", "delta"]),
+       terms=st.lists(st.sampled_from(_PVOCAB + ["zz", "yy", "nope"]),
+                      min_size=1, max_size=4),
+       slop=st.sampled_from([0, 1, 2]),
+       span=st.tuples(st.integers(0, 6), st.integers(1, 16)),
+       k=st.integers(1, 40))
+def test_phrase_matching_matches_brute_force(phrase_variants, variant,
+                                             terms, slop, span, k):
+    """phrase_topk, phrase_topk(pos_range) and phrase_slop_topk equal a
+    brute-force scan — repeated terms, multi-chunk terms, a delta-built
+    index, the planted doc-boundary pair and a position-key cache
+    small enough to evict on almost every decode."""
+    reader, tiny, bf, streams = phrase_variants[variant]
+    q = " ".join(terms)
+    lo, hi = span[0], span[0] + span[1]
+    scores = bf.score_all(q)
+
+    def want(**kw):
+        hits = [(d, scores[d]) for d, toks in streams.items()
+                if _ordered_gap_match(toks, terms, **kw)]
+        return sorted(hits, key=lambda h: (-h[1], h[0]))[:k]
+
+    def same(got, ref):
+        assert [d for d, _ in got] == [d for d, _ in ref], q
+        for (_, s1), (_, s2) in zip(got, ref):
+            assert s1 == pytest.approx(s2, abs=1e-6)
+
+    for r in (reader, tiny):
+        same(r.phrase_topk(q, k), bf.phrase_topk(q, k, streams))
+        same(r.phrase_topk(q, k, pos_range=(lo, hi)),
+             want(slop=0, lo=lo, hi=hi))
+        same(r.phrase_slop_topk(q, slop, k), want(slop=slop))
+    assert tiny._pos_cache_bytes <= 300
+
+
+def test_phrase_keys_never_cross_a_doc_boundary(phrase_variants):
+    """The planted neighbours never match, and neither do keys of the
+    same two docs moved to the edge of the position range, where
+    ``key - 1`` of the second doc IS the first doc's last key."""
+    for r, *_ in phrase_variants.values():
+        assert r.phrase_topk("zz yy", 10) == []
+        assert r.phrase_slop_topk("zz yy", 2, 10) == []
+    r = IndexReader(phrase_variants["plain"][0].dir)
+    zz, yy = r._pos_keys("zz"), r._pos_keys("yy")
+    assert (yy >> 32) - (zz >> 32) == 1           # adjacent dense docs
+    r._pos_cache["zz"] = ((zz >> 32) << 32) | r._LOW
+    r._pos_cache["yy"] = (yy >> 32) << 32
+    assert r._pos_cache["yy"] - 1 == r._pos_cache["zz"]
+    assert r.phrase_topk("zz yy", 10) == []
+    for slop in (1, 2):
+        assert r.phrase_slop_topk("zz yy", slop, 10) == []
+
+
+def test_positions_need_a_positional_index(built):
+    out, _ = built
+    r = IndexReader(out)
+    with pytest.raises(ValueError):
+        r.positions("import")
+    with pytest.raises(ValueError):
+        r.phrase_topk("import config", 10)

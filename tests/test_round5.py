@@ -1754,6 +1754,47 @@ def test_phash_max_dist_guard(ray_session):
         image_phash_near_dup("/root/testdata/sf0.001", max_dist=4)
 
 
+def test_cli_verify_index_after_delete_docs(ray_session, tmp_path):
+    """verify-index on a tombstoned index that was NOT delta-built: its
+    as-built n_docs still counts the deleted docs, so the doc count is
+    compared over alive docs, like the token total — a source without
+    the deleted rows verifies clean."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    import pyarrow as _pa
+    import pyarrow.parquet as _pq
+    from jesterj_ray.index.build_rows import build_index_rows
+    from jesterj_ray.index.query import delete_docs
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    n, gone = 120, {3, 50, 97}
+    texts = [f"doc {i} " + " ".join(["alpha", "beta", "gamma"][:i % 4])
+             for i in range(n)]
+
+    def write(rows, name):
+        path = str(tmp_path / name)
+        _pq.write_table(_pa.table({
+            "doc_id": _pa.array(rows, _pa.int64()),
+            "text": [texts[i] for i in rows]}), path)
+        return path
+
+    idx = str(tmp_path / "vix3")
+    build_index_rows(write(list(range(n)), "all.parquet"), idx,
+                     text_col="text", key_col="doc_id",
+                     docs_per_partition=32, num_shards=2)
+    assert delete_docs(idx, [str(i).zfill(12) for i in gone]) == 3
+    src = write([i for i in range(n) if i not in gone], "alive.parquet")
+    v = subprocess.run([sys.executable, "-m", "jesterj_ray",
+                        "verify-index", idx, src, "--key-col", "doc_id",
+                        "--sample", "20"],
+                       capture_output=True, text=True, cwd=repo)
+    rep = json.loads(v.stdout.strip().splitlines()[-1])
+    assert v.returncode == 0, rep
+    assert rep["problems"] == [] and rep["n_docs"] == n - len(gone)
+
+
 def test_cli_verify_index_delta_and_string_keys(ray_session, tmp_path):
     """verify-index stays green after a delta reindex (alive-only
     totals, vocab skipped, alive-copy lookups)."""
