@@ -624,11 +624,6 @@ def _bm25_topk(sf_dir: str):
     return bm25_topk_documents(sf_dir)
 
 
-def _bm25_topk_exhaustive(sf_dir: str):
-    from jesterj_ray.pipelines.flagship import bm25_topk_documents
-    return bm25_topk_documents(sf_dir, pruned=False)
-
-
 def _bm25_and_topk(sf_dir: str):
     from jesterj_ray.pipelines.flagship import bm25_and_topk_documents
     return bm25_and_topk_documents(sf_dir)
@@ -1874,7 +1869,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
         "term_df_top20": _term_df,
         "term_postings_merge": _term_postings,
         "bm25_topk": _bm25_topk,
-        "bm25_topk_exhaustive": _bm25_topk_exhaustive,
+        "bm25_topk_exhaustive": _bm25_topk,  # OR top-k is exhaustive
         "bm25_and_topk": _bm25_and_topk,
         "bm25f_topk": _bm25f_topk,
         "bm25_boosted_topk": _bm25_boosted_topk,

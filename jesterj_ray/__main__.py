@@ -328,10 +328,10 @@ def cmd_verify_index(args) -> int:
 
 
 def cmd_query(args) -> int:
-    """One query against an index dir, in any engine mode: pruned
-    disjunctive (default), exhaustive, conjunctive (--and), exclusion
-    (--not TERMS), phrase (--phrase), boosted (term^2.5 syntax,
-    --boosted), prefix (--prefix) or fuzzy (--fuzzy [edits])."""
+    """One query against an index dir, in any engine mode: disjunctive
+    (default), conjunctive (--and), exclusion (--not TERMS), phrase
+    (--phrase), boosted (term^2.5 syntax, --boosted), prefix (--prefix)
+    or fuzzy (--fuzzy [edits])."""
     import os
 
     import numpy as np
@@ -339,8 +339,8 @@ def cmd_query(args) -> int:
     mode_flags = [name for name, on in [
         ("--phrase", args.phrase), ("--and", args.conjunctive),
         ("--not", bool(args.exclude)), ("--boosted", args.boosted),
-        ("--prefix", args.prefix), ("--fuzzy", args.fuzzy is not None),
-        ("--exhaustive", args.exhaustive)] if on]
+        ("--prefix", args.prefix),
+        ("--fuzzy", args.fuzzy is not None)] if on]
     if getattr(args, "fields", None):
         if mode_flags or getattr(args, "explain", None):
             raise SystemExit(
@@ -390,8 +390,7 @@ def cmd_query(args) -> int:
         hits = reader.topk_fuzzy(args.query, args.k,
                                  max_edits=args.fuzzy)
     else:
-        hits = reader.topk_pruned(args.query, args.k) if not args.exhaustive \
-            else reader.topk(args.query, args.k)
+        hits = reader.topk(args.query, args.k)
     keys = reader.doc_keys(np.array([h[0] for h in hits], dtype=np.int64))
     for rank, ((doc, score), key) in enumerate(zip(hits, keys), 1):
         print(f"{rank}\t{key}\t{score:.6f}")
@@ -509,8 +508,6 @@ def main(argv=None) -> int:
     q.add_argument("index_dir")
     q.add_argument("query")
     q.add_argument("-k", type=int, default=10)
-    q.add_argument("--exhaustive", action="store_true",
-                   help="skip block-max pruning")
     q.add_argument("--and", dest="conjunctive", action="store_true",
                    help="all terms must match")
     q.add_argument("--not", dest="exclude", default=None, metavar="TERMS",

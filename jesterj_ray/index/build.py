@@ -298,13 +298,16 @@ def _index_partition_tables(g: pd.DataFrame, pid: int, out_dir: str,
             # run-set fingerprint and force a pointless re-merge (a 1-doc
             # delta must touch only the shards holding its terms)
             continue
-        run_path = os.path.join(out_dir, "runs", f"shard-{s_:04d}",
-                                f"part-{pid:05d}.parquet")
-        nbytes += atomic_write_table(run_path, sub, row_group_size=4096)
-        out_files.append(run_path)
-    doc_path = os.path.join(out_dir, "docs", f"part-{pid:05d}.parquet")
-    nbytes += atomic_write_table(doc_path, doc_table)
-    out_files.append(doc_path)
+        # output_files are relative to the index dir, so the manifest's
+        # bytes do not depend on where the index sits
+        run_rel = os.path.join("runs", f"shard-{s_:04d}",
+                               f"part-{pid:05d}.parquet")
+        nbytes += atomic_write_table(os.path.join(out_dir, run_rel), sub,
+                                     row_group_size=4096)
+        out_files.append(run_rel)
+    doc_rel = os.path.join("docs", f"part-{pid:05d}.parquet")
+    nbytes += atomic_write_table(os.path.join(out_dir, doc_rel), doc_table)
+    out_files.append(doc_rel)
     manifest.commit(pid, status=STATUS_INDEXED, input_fingerprint=fingerprint,
                     docs_seen=len(g), terms_emitted=run_table.num_rows,
                     bytes_written=nbytes, dl_sum=int(dls.sum()),
@@ -1071,7 +1074,8 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
                    terms_emitted=terms_total,
                    bytes_written=bytes_total,
                    output_files=(prior.get("output_files", [])
-                                 if append_only else []) + [path],
+                                 if append_only else []) +
+                   [os.path.relpath(path, out_dir)],
                    extra={"runs_merged": cur_fp,
                           "generations": generation + 1})
         return {"shard": shard, "terms": terms_total,

@@ -9,8 +9,10 @@ Layout of one encoded posting list (for one term, one doc-id shard):
     varbyte( delta(doc_ids) )  ++  varbyte( tfs )
 
 with docIDs strictly ascending.  Block-max metadata is computed per
-``BLOCK_SIZE`` postings: (last_doc_id, max_tf) per block, enabling
-block-max WAND skipping at query time.
+``BLOCK_SIZE`` postings: (last_doc_id, max_tf) per block, plus per-block
+byte offsets.  The query engine scores every posting and reads none of
+it; the columns stay in the on-disk layout until a format change drops
+them.
 
 All encode/decode paths are vectorized numpy (no per-posting Python loop):
 varbyte encode works by computing per-value byte lengths, a byte-position

@@ -1,4 +1,4 @@
-"""Query engine: segment reader + BM25 top-k (exhaustive and block-max pruned).
+"""Query engine: segment reader + exhaustive BM25 top-k from cached impacts.
 
 Replaces JesterJ's delegation of search to Solr/OpenSearch.  The serving
 analog of the reference's sender connection state (Solr clients built once
@@ -6,18 +6,17 @@ per step, ``SendToSolrCloudZkProcessor.java``) is ``QueryActor``: a callable
 class for ``map_batches`` actor pools that opens the index ONCE per actor
 (``__init__``) and answers batches of queries (``__call__``).
 
-Two scorers, tested rank-identical (FIXTURES.md test 6):
-
-- ``topk``        exhaustive term-at-a-time, fully vectorized numpy
-- ``topk_pruned`` block-max dynamic pruning (WAND-family / MaxScore):
-    terms processed in descending upper-bound order; once the running
-    top-k threshold exceeds the sum of remaining term upper bounds, later
-    terms can no longer introduce NEW candidates and are intersected
-    against existing candidates only, decoding just the posting blocks
-    whose [first,last] doc range contains a candidate (block-max skip).
+One scorer serves every BM25 mode (OR, AND, mm, boosted, excluding,
+prefix/fuzzy/wildcard/regexp/synonym expansion, phrase): term-at-a-time
+into a dense float64 accumulator, every posting scored.  Each term's
+**impacts** — its postings as dense doc numbers and their BM25
+contributions — are computed once per reader and kept in the postings
+LRU, so a warm query only does ``scores[dense] += contrib`` and a top-k
+gather.  (Block-max pruning was measured 1.5-2x slower than this: its
+``idf*(k1+1)`` bound was too loose to ever prune.)
 
 Scale: shard tables are loaded lazily and cached per actor; doc lengths are
-held as one int32 array per partition (doc_id = pid << 32 | rank makes the
+held as one int64 array per partition (doc_id = pid << 32 | rank makes the
 lookup O(1) array indexing).  On a real cluster each QueryActor would hold
 only a doc-range slice; here one actor holds the full (small) test index.
 """
@@ -37,7 +36,7 @@ import pyarrow.parquet as pq
 from ..tokenize.tokenizer import TOKENIZERS
 from .bm25 import B, K1, dedup_keep_order, idf
 from .build import DOC_BITS
-from .codec import BLOCK_SIZE, varbyte_decode
+from .codec import varbyte_decode
 from .epoch import (IndexChangedError, check_pinned, publish_epoch,
                     read_epoch)
 
@@ -68,11 +67,11 @@ class IndexReader:
                               self.stats["analyzer_config"])
         self.tokenizer = TOKENIZERS[self.stats["tokenizer"]]
         self._shard_cache: Dict[int, tuple] = {}
-        # bounded cache of fully-decoded posting lists (hot query terms are
-        # re-queried constantly; decode once per actor, not per query)
+        # bounded cache of fully-decoded posting lists, each entry
+        # [docs, tfs, impacts or None] (hot query terms are re-queried
+        # constantly; decode and score once per reader, not per query)
         from collections import OrderedDict
-        self._postings_cache: "OrderedDict[str, Tuple[np.ndarray, np.ndarray]]" = \
-            OrderedDict()
+        self._postings_cache: "OrderedDict[str, list]" = OrderedDict()
         self._entry_cache: "OrderedDict[str, dict]" = OrderedDict()
         self._postings_cache_max = 512
         # decoded position keys per term (_pos_keys), bounded by bytes:
@@ -236,7 +235,10 @@ class IndexReader:
                     "term_col": light["term"].combine_chunks(),
                     "light": light, "pf": pf,
                     "relpath": os.path.relpath(path, self.dir),
-                    "rg_starts": rg_starts, "names": names,
+                    "rg_starts": rg_starts,
+                    "blob_cols": [c for c in ("count", "doc_blob",
+                                              "tf_blob", "pos_blob")
+                                  if c in names],
                     "rg_cache": OrderedDict()})
             self._shard_cache[shard] = states or None
         return self._shard_cache[shard]
@@ -264,13 +266,13 @@ class IndexReader:
     _RG_CACHE_MAX = 8  # touched row groups kept per shard (bounds memory)
 
     def _shard_row(self, state: dict, i: int) -> dict:
-        """One segment row's heavy columns via a targeted row-group read
-        (LRU-cached per shard)."""
+        """One segment row's posting blobs via a targeted row-group read
+        of just those columns (LRU-cached per shard)."""
         rg = int(np.searchsorted(state["rg_starts"], i, side="right") - 1)
         cache = state["rg_cache"]
         t = cache.get(rg)
         if t is None:
-            t = state["pf"].read_row_group(rg)
+            t = state["pf"].read_row_group(rg, columns=state["blob_cols"])
             # re-verify the pin on every COLD fetch: on storage where the
             # open handle pins nothing (NFS/object store — epoch.py's
             # portability claim) a replaced file would otherwise serve new
@@ -318,37 +320,11 @@ class IndexReader:
         rows = self._term_rows(state, term)
         if rows is None:
             return None
-        has_pos = "pos_blob" in state["names"]
-        has_counts = "block_counts" in state["names"]
         light = state["light"]
         chunks = []
         for i in rows:
             r = self._shard_row(state, i)
-            c = {
-                "count": r["count"].as_py(),
-                "doc_blob": r["doc_blob"].as_py(),
-                "tf_blob": r["tf_blob"].as_py(),
-                "block_last": np.asarray(r["block_last"].as_py(),
-                                         dtype=np.int64),
-                "block_max_tf": np.asarray(r["block_max_tf"].as_py(),
-                                           dtype=np.int64),
-                "block_doc_off": np.asarray(r["block_doc_off"].as_py(),
-                                            dtype=np.int64),
-                "block_tf_off": np.asarray(r["block_tf_off"].as_py(),
-                                           dtype=np.int64),
-            }
-            if has_pos:
-                c["pos_blob"] = r["pos_blob"].as_py()
-            if has_counts:
-                c["block_counts"] = np.asarray(
-                    r["block_counts"].as_py(), dtype=np.int64)
-            else:  # legacy uniform blocks
-                n = c["count"]
-                nb = c["block_last"].size
-                c["block_counts"] = np.full(nb, BLOCK_SIZE, dtype=np.int64)
-                if nb:
-                    c["block_counts"][-1] = n - BLOCK_SIZE * (nb - 1)
-            chunks.append(c)
+            chunks.append({c: r[c].as_py() for c in state["blob_cols"]})
         return {
             "df": sum(light["df"][i].as_py() for i in rows),
             "cf": sum(light["cf"][i].as_py() for i in rows),
@@ -356,26 +332,54 @@ class IndexReader:
             "chunks": chunks,
         }
 
-    def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
-        cached = self._postings_cache.get(term)
-        if cached is not None:
+    def _posting_entry(self, term: str) -> Optional[list]:
+        """The term's postings-LRU entry ``[docs, tfs, impacts]``
+        (impacts filled lazily by :meth:`_impacts`); None for a term
+        absent from the index."""
+        hit = self._postings_cache.get(term)
+        if hit is not None:
             self._postings_cache.move_to_end(term)
-            return cached
+            return hit
         e = self.term_entry(term)
         if e is None:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+            return None
         doc_parts, tf_parts = [], []
         for c in e["chunks"]:  # chunks ascend in doc order
             n = c["count"]
             doc_parts.append(np.cumsum(varbyte_decode(c["doc_blob"], n)
                                        .astype(np.int64)))
             tf_parts.append(varbyte_decode(c["tf_blob"], n).astype(np.int64))
-        docs = np.concatenate(doc_parts)
-        tfs = np.concatenate(tf_parts)
-        self._postings_cache[term] = (docs, tfs)
+        hit = [np.concatenate(doc_parts), np.concatenate(tf_parts), None]
+        self._postings_cache[term] = hit
         if len(self._postings_cache) > self._postings_cache_max:
             self._postings_cache.popitem(last=False)
-        return docs, tfs
+        return hit
+
+    def postings(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
+        hit = self._posting_entry(term)
+        if hit is None:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        return hit[0], hit[1]
+
+    _NO_IMPACTS = (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64))
+
+    def _impacts(self, term: str) -> Tuple[np.ndarray, np.ndarray]:
+        """(dense doc numbers, BM25 contributions) of every posting of
+        ``term``, computed once and kept in the term's postings-LRU
+        entry.  Both depend only on the term and this reader's epoch
+        pin (dense numbers, n_docs/avgdl, alive df), so impacts are
+        never shared between readers.  Read-only: callers scale a copy."""
+        hit = self._posting_entry(term)
+        if hit is None:
+            return self._NO_IMPACTS
+        if hit[2] is None:
+            dense = self.dense_of(hit[0])
+            contrib = self._term_contrib_dense(
+                dense, hit[1], self._df_alive(self.term_entry(term), dense))
+            dense.flags.writeable = False
+            contrib.flags.writeable = False
+            hit[2] = (dense, contrib)
+        return hit[2]
 
     _POS_CACHE_BYTES = 32 << 20  # decoded position keys kept per reader
     _LOW = (1 << 32) - 1         # position bits of a position key
@@ -487,14 +491,11 @@ class IndexReader:
             return []
         scores = np.zeros(dense.size, dtype=np.float64)
         for t in dedup_keep_order(terms):
-            docs, tfs = self.postings(t)
-            td = self.dense_of(docs)
-            scores += self._term_contrib_dense(
-                dense, tfs[np.searchsorted(td, dense)],
-                self._df_alive(self.term_entry(t), td))
+            td, contrib = self._impacts(t)
+            scores += contrib[np.searchsorted(td, dense)]
         order = np.lexsort((dense, -scores))[:k]
         ids = self.doc_id_of_dense(dense[order])
-        return [(int(d), float(scores[i])) for d, i in zip(ids, order)]
+        return list(zip(ids.tolist(), scores[order].tolist()))
 
     def phrase_slop_topk(self, query: str, slop: int = 0, k: int = 10):
         """Sloppy phrase (Lucene ``"a b"~N``'s ordered core): docs
@@ -635,7 +636,7 @@ class IndexReader:
             cand_idx, cand_val = touched, vals
         order = np.lexsort((cand_idx, -cand_val))[:k]
         ids = self.doc_id_of_dense(cand_idx[order])
-        out = [(int(d), float(cand_val[i])) for d, i in zip(ids, order)]
+        out = list(zip(ids.tolist(), cand_val[order].tolist()))
         scores[touched] = 0.0
         return out
 
@@ -651,13 +652,9 @@ class IndexReader:
         seen = self._seen_buf
         touched_parts: List[np.ndarray] = []
         for i, t in enumerate(terms):
-            docs, tfs = self.postings(t)
-            if docs.size == 0:
+            dense, contrib = self._impacts(t)
+            if dense.size == 0:
                 continue
-            e = self.term_entry(t)
-            dense = self.dense_of(docs)
-            contrib = self._term_contrib_dense(
-                dense, tfs, self._df_alive(e, dense))
             if boosts is not None and boosts[i] != 1.0:
                 contrib = contrib * boosts[i]
             # docs unique within a term -> fancy-index add is safe & fast
@@ -678,6 +675,9 @@ class IndexReader:
         if touched.size == 0:
             return []
         return self._topk_from_dense(self._scores_buf, touched, k)
+
+    # OR top-k under its older name, which perfbench still calls
+    topk_pruned = topk
 
     def match_scores(self, query: str) -> Tuple[np.ndarray, np.ndarray]:
         """The FULL disjunctive match set as (internal docIDs, BM25
@@ -920,8 +920,8 @@ class IndexReader:
                      ) -> List[Tuple[int, float]]:
         """Disjunctive BM25 with per-term boosts — Lucene/Solr
         ``term^2.5`` query syntax (the query-time weighting JesterJ's
-        Solr sink delegates to Lucene; exhaustive scoring — block-max
-        pruning bounds would need per-term rescaling)."""
+        Solr sink delegates to Lucene); a boost scales a copy of the
+        term's cached impacts."""
         from .bm25 import parse_boosted_query
         terms, boosts = parse_boosted_query(query, self.tokenizer)
         touched = self._score_disjunctive(terms, boosts)
@@ -977,14 +977,11 @@ class IndexReader:
                 seen[p] = 0
 
         for t in terms:
-            docs, tfs = self.postings(t)
-            if docs.size == 0:
+            dense, contrib = self._impacts(t)
+            if dense.size == 0:
                 _cleanup()
                 return []
-            e = self.term_entry(t)
-            dense = self.dense_of(docs)
-            scores[dense] += self._term_contrib_dense(
-                dense, tfs, self._df_alive(e, dense))
+            scores[dense] += contrib
             touched_parts.append(dense[seen[dense] == 0])
             seen[dense] += 1
         touched = np.concatenate(touched_parts)
@@ -1013,13 +1010,10 @@ class IndexReader:
         seen = self._seen_buf
         touched_parts: List[np.ndarray] = []
         for t in terms:
-            docs, tfs = self.postings(t)
-            if docs.size == 0:
+            dense, contrib = self._impacts(t)
+            if dense.size == 0:
                 continue
-            e = self.term_entry(t)
-            dense = self.dense_of(docs)
-            scores[dense] += self._term_contrib_dense(
-                dense, tfs, self._df_alive(e, dense))
+            scores[dense] += contrib
             touched_parts.append(dense[seen[dense] == 0])
             seen[dense] += 1
         if not touched_parts:
@@ -1055,131 +1049,6 @@ class IndexReader:
         dls = self._dl_dense[dense].astype(np.float64)
         tff = tfs.astype(np.float64)
         return w * tff * (K1 + 1.0) / (tff + K1 * (1.0 - B + B * dls / self.avgdl))
-
-    def topk_pruned(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
-        """Block-max pruned scoring (MaxScore family, term-at-a-time):
-        terms processed in descending upper-bound order into the dense
-        accumulator; once the running k-th score >= the sum of remaining
-        term upper bounds, later terms cannot introduce NEW top-k docs, so
-        they only rescore existing candidates, decoding just the posting
-        blocks whose doc range covers a candidate (block-max skip).  Safe
-        because a term's per-posting contribution is strictly below its
-        upper bound (dl > 0 forces the denominator above tf)."""
-        if self._exact_stats and self._tombstone.any():
-            # pruned bounds assume as-built df; alive-df weights are only
-            # known after decoding full postings, so score exhaustively
-            return self.topk(query, k)
-        terms = dedup_keep_order(self.tokenizer(query))
-        entries = []
-        for t in terms:
-            e = self.term_entry(t)
-            if e is not None:
-                w = idf(self.n_docs, e["df"])
-                entries.append((t, e, w * (K1 + 1.0)))
-        if not entries:
-            return []
-        entries.sort(key=lambda x: -x[2])  # descending upper bound
-        rem_ub = np.cumsum([ub for *_, ub in entries][::-1])[::-1]
-
-        scores = self._scores_buf
-        seen = self._seen_buf
-        touched_parts: List[np.ndarray] = []
-        n_touched = 0
-        for i, (t, e, ub) in enumerate(entries):
-            threshold = -1.0
-            if n_touched >= k:
-                allv_idx = np.concatenate(touched_parts) if \
-                    len(touched_parts) > 1 else touched_parts[0]
-                # the k-th threshold must reflect only ALIVE candidates:
-                # tombstoned docs are dropped at extraction, so including
-                # their (often high) scores here would inflate the bound and
-                # prune terms that still matter for live docs
-                if self._tombstone.any():
-                    allv_idx = allv_idx[~self._tombstone[allv_idx]]
-                if allv_idx.size >= k:
-                    allv = scores[allv_idx]
-                    threshold = float(
-                        allv[np.argpartition(-allv, k - 1)[k - 1]])
-            if threshold >= rem_ub[i]:
-                # pruned phase: candidates only + block-max skip decode
-                touched = np.concatenate(touched_parts)
-                touched_parts = [touched]
-                targets = self.doc_id_of_dense(np.sort(touched))
-                docs, tfs = self._decode_blocks_covering(e, targets)
-                if docs.size == 0:
-                    continue
-                dense = self.dense_of(docs)
-                hit = seen[dense] == 1
-                if not hit.any():
-                    continue
-                dh = dense[hit]
-                scores[dh] += self._term_contrib_dense(dh, tfs[hit], e["df"])
-            else:
-                docs, tfs = self.postings(t)
-                if docs.size == 0:
-                    continue
-                dense = self.dense_of(docs)
-                scores[dense] += self._term_contrib_dense(dense, tfs, e["df"])
-                new = dense[seen[dense] == 0]
-                seen[new] = 1
-                touched_parts.append(new)
-                n_touched += new.size
-        if not touched_parts:
-            return []
-        touched = np.concatenate(touched_parts)
-        seen[touched] = 0
-        return self._topk_from_dense(scores, touched, k)
-
-    def _decode_blocks_covering(self, e: dict, targets: np.ndarray
-                                ) -> Tuple[np.ndarray, np.ndarray]:
-        """Decode ONLY the posting blocks whose doc range may contain
-        ``targets`` across all of the term's chunks."""
-        doc_parts, tf_parts = [], []
-        for c in e["chunks"]:
-            d, t = self._decode_chunk_blocks(c, targets)
-            if d.size:
-                doc_parts.append(d)
-                tf_parts.append(t)
-        if not doc_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(doc_parts), np.concatenate(tf_parts)
-
-    def _decode_chunk_blocks(self, e: dict, targets: np.ndarray
-                             ) -> Tuple[np.ndarray, np.ndarray]:
-        """One chunk: per-block byte offsets (block_doc_off/block_tf_off)
-        let us slice the varbyte blob without touching skipped bytes; a
-        block's deltas cumsum from block_last[b-1].  Blocks are variable
-        size (block_counts) — run boundaries produce short blocks."""
-        bl = e["block_last"]
-        bc = e["block_counts"]
-        n = e["count"]
-        # block index each target would land in
-        bidx = np.unique(np.searchsorted(bl, targets))
-        bidx = bidx[bidx < bl.size]
-        starts = np.concatenate([[0], np.cumsum(bc)])
-        if bidx.size >= max(1, bl.size // 2):
-            # most blocks needed: full decode is cheaper (and cacheable)
-            docs = np.cumsum(varbyte_decode(e["doc_blob"], n).astype(np.int64))
-            tfs = varbyte_decode(e["tf_blob"], n).astype(np.int64)
-            if bidx.size == bl.size:
-                return docs, tfs
-            keep = np.zeros(docs.size, dtype=bool)
-            for b in bidx:
-                keep[starts[b]:starts[b + 1]] = True
-            return docs[keep], tfs[keep]
-        doff, toff = e["block_doc_off"], e["block_tf_off"]
-        doc_parts, tf_parts = [], []
-        for b in bidx:
-            cnt = int(bc[b])
-            deltas = varbyte_decode(e["doc_blob"][doff[b]:doff[b + 1]],
-                                    cnt).astype(np.int64)
-            base = int(bl[b - 1]) if b > 0 else 0
-            doc_parts.append(np.cumsum(deltas) + base)
-            tf_parts.append(varbyte_decode(e["tf_blob"][toff[b]:toff[b + 1]],
-                                           cnt).astype(np.int64))
-        if not doc_parts:
-            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        return np.concatenate(doc_parts), np.concatenate(tf_parts)
 
 
 def delete_docs(index_dir: str, doc_keys) -> int:
@@ -1251,18 +1120,13 @@ class QueryActor:
     Output: qid, rank, doc_id (internal), doc_key, score.
     """
 
-    def __init__(self, index_dir: str, pruned: bool = True,
-                 mode: str = "or"):
+    def __init__(self, index_dir: str, mode: str = "or"):
         self.reader = IndexReader(index_dir)
-        self.pruned = pruned
         self.mode = mode  # "or" (disjunctive) | "and" (conjunctive)
 
     def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
         out = {"qid": [], "rank": [], "doc_id": [], "doc_key": [], "score": []}
-        if self.mode == "and":
-            fn = self.reader.topk_and
-        else:
-            fn = self.reader.topk_pruned if self.pruned else self.reader.topk
+        fn = self.reader.topk_and if self.mode == "and" else self.reader.topk
         for qid, query, k in zip(batch["qid"], batch["query"], batch["k"]):
             hits = fn(query, int(k))
             ids = np.array([h[0] for h in hits], dtype=np.int64)

@@ -7,7 +7,7 @@ re-encoded into a per-slice segment set that keeps the GLOBAL df/cf
 columns and global stats.json — so a plain :class:`..query.IndexReader`
 opened on a slice dir scores its docs exactly like the global reader
 (BM25 weights are corpus-wide) while decoding ONLY its own postings, with
-the FULL feature set (block-max pruning, phrase, positions).  One Ray
+the FULL feature set (every BM25 mode, phrase, positions).  One Ray
 task per shard; no shuffle — tasks read only their shard's segment file.
 
 Re-splitting into an existing slice root is the serving half of a writer

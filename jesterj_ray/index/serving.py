@@ -5,9 +5,9 @@ at 10^12 docs no node can.  :func:`..repartition.repartition_for_serving`
 splits a global index at rest into self-contained doc-range slice dirs
 whose segments hold only the slice's postings but keep GLOBAL df/cf and
 stats.json.  Each slice actor opens one slice dir with a plain
-:class:`..query.IndexReader` — so every query mode (block-max pruned,
-phrase) works per slice and scores equal the unsharded engine's exactly —
-and the driver merges the per-slice k-lists.  Tested rank-identical to the
+:class:`..query.IndexReader` — so every query mode (OR, AND, phrase)
+works per slice and scores equal the unsharded engine's exactly — and
+the driver merges the per-slice k-lists.  Tested rank-identical to the
 full reader.
 
 A changing index is served by one writer cycle: compact the source,
@@ -111,7 +111,7 @@ class _ReopenMixin:
 class SliceQueryActor:
     """Actor over one repartitioned slice index: a plain IndexReader —
     the slice's segments hold only its docs but GLOBAL df/stats, so every
-    query mode (pruned, phrase, positions) works per slice with scores
+    query mode (OR, AND, phrase, positions) works per slice with scores
     identical to the global reader."""
 
     def __init__(self, slice_dir: str):
@@ -124,11 +124,11 @@ class SliceQueryActor:
         self.reader = IndexReader(self._dir)
 
     def topk(self, query: str, k: int) -> List[Tuple[int, float]]:
-        return self.reader.topk_pruned(query, k)
+        return self.reader.topk(query, k)
 
     def topk_batch(self, queries: List[Tuple[str, int]]
                    ) -> List[List[Tuple[int, float]]]:
-        return [self.reader.topk_pruned(q, k) for q, k in queries]
+        return [self.reader.topk(q, k) for q, k in queries]
 
     def phrase_topk(self, query: str, k: int) -> List[Tuple[int, float]]:
         return self.reader.phrase_topk(query, k)

@@ -84,8 +84,7 @@ def documents_index(sf_dir: str, *, rebuild: bool = False) -> str:
 
 
 def bm25_topk_documents(sf_dir: str, queries: Optional[List[dict]] = None,
-                        *, pruned: bool = True,
-                        mode: str = "or") -> pd.DataFrame:
+                        *, mode: str = "or") -> pd.DataFrame:
     """Top-k BM25 over documents.parquet for the fixed query set.
 
     ``mode='and'`` scores conjunctively (all distinct query terms must
@@ -100,7 +99,7 @@ def bm25_topk_documents(sf_dir: str, queries: Optional[List[dict]] = None,
         "k": pa.array([q["k"] for q in qs], pa.int64()),
     }))
     hits = qds.map_batches(QueryActor, fn_constructor_kwargs={
-        "index_dir": idx, "pruned": pruned, "mode": mode},
+        "index_dir": idx, "mode": mode},
         batch_format="pandas", concurrency=2).to_pandas()
     if hits.empty:
         return pd.DataFrame({"qid": pd.Series([], dtype=np.int64),

@@ -1,7 +1,8 @@
 """Regression tests for the round-1 ADVICE findings:
 
-1. topk_pruned computed its k-th pruning threshold over tombstoned docs,
-   inflating the bound and dropping valid results after any delete.
+1. The (since removed) pruned scorer computed its k-th threshold over
+   tombstoned docs, inflating the bound and dropping valid results after
+   any delete; top-k after deletes is now pinned to the oracle.
 3. merge_runs fingerprinted run files by path+size only, so a same-size
    in-place rewrite silently skipped the merge; re-planned builds left
    stale partition artifacts behind.
@@ -15,8 +16,11 @@ import pyarrow.parquet as pq
 import pytest
 
 import ray.data as rd
+from jesterj_ray.index.bm25 import BruteForceIndex
+from jesterj_ray.index.build import DOC_BITS
 from jesterj_ray.index.build_rows import build_index_rows
 from jesterj_ray.index.query import IndexReader, delete_docs
+from jesterj_ray.tokenize.tokenizer import code_tokenize, simple_tokenize
 
 
 @pytest.fixture(scope="module")
@@ -30,38 +34,54 @@ def pos_index(small_corpus, tmp_path_factory):
     return out
 
 
-def test_pruned_after_delete_matches_exhaustive(pos_index, tmp_path):
-    """ADVICE #1 repro: delete the top doc for multi-term queries; the
-    pruned scorer must still return exactly what exhaustive returns."""
+def _ranked_without(bf, query, k, dead):
+    """Oracle top-k over ALL docs (as-built stats, as the index keeps
+    after a delete), with the tombstoned docs then dropped."""
+    hits = sorted(bf.score_all(query).items(), key=lambda h: (-h[1], h[0]))
+    return [h for h in hits if h[0] not in dead][:k]
+
+
+def _row_order_oracle(texts, docs_per_partition, tokenize):
+    """BruteForceIndex under build_index_rows' docID assignment (row
+    order, ``docs_per_partition`` docs per partition)."""
+    ids = [(i // docs_per_partition) << DOC_BITS | i % docs_per_partition
+           for i in range(len(texts))]
+    return BruteForceIndex(ids, list(texts), tokenize)
+
+
+def test_topk_after_delete_matches_oracle(pos_index, small_corpus, tmp_path):
+    """ADVICE #1 scenario: delete the top docs of multi-term queries; the
+    top-k must still equal the oracle's ranking minus the deleted docs
+    (a k-th threshold that counted tombstoned scores once dropped
+    valid results here)."""
     import shutil
     out = str(tmp_path / "idx")
     shutil.copytree(pos_index, out)
     queries = ["parse config error", "flush cache worker", "static void",
                "validate schema", "import return"]
-    # delete the global top doc of each query (forces the inflated-threshold
-    # scenario: the tombstoned doc had the highest accumulated score)
     r0 = IndexReader(out)
-    victims = set()
+    dead = set()
     for q in queries:
-        top = r0.topk(q, 3)
-        victims.update(r0.doc_keys(np.array([d for d, _ in top],
-                                            dtype=np.int64)))
-    assert delete_docs(out, sorted(victims)) == len(victims)
+        dead.update(d for d, _ in r0.topk(q, 3))
+    victims = r0.doc_keys(np.array(sorted(dead), dtype=np.int64))
+    assert delete_docs(out, victims) == len(dead)
+    bf = _row_order_oracle(small_corpus["content"].to_pylist(), 64,
+                           code_tokenize)
     r = IndexReader(out)
     for q in queries:
         for k in (1, 2, 3, 5, 10):
             a = r.topk(q, k)
-            b = r.topk_pruned(q, k)
+            b = _ranked_without(bf, q, k, dead)
             assert [x[0] for x in a] == [x[0] for x in b], (q, k)
             for (_, s1), (_, s2) in zip(a, b):
                 assert s1 == pytest.approx(s2, abs=1e-9)
 
 
-def test_pruned_after_delete_planted(tmp_path):
+def test_topk_after_delete_planted(tmp_path):
     """Planted worst case: the rare term occurs ONLY in the deleted doc,
-    the second term is corpus-wide.  With the tombstoned score in the
-    threshold, the old code pruned the common term and returned [] while
-    exhaustive returns the best live doc."""
+    the second term is corpus-wide.  A threshold that counted the
+    tombstoned score returned [] here; the live common-term docs must
+    rank exactly as the oracle ranks them."""
     texts = (["uniqterm uniqterm uniqterm common"] +
              [f"common filler{i} words here and more text {i}"
               for i in range(40)])
@@ -76,11 +96,12 @@ def test_pruned_after_delete_planted(tmp_path):
     top = r0.topk("uniqterm common", 1)
     victim = r0.doc_keys(np.array([top[0][0]], dtype=np.int64))[0]
     assert delete_docs(out, [victim]) == 1
+    bf = _row_order_oracle(texts, 16, simple_tokenize)
     r = IndexReader(out)
     for k in (1, 2, 5):
         a = r.topk("uniqterm common", k)
-        b = r.topk_pruned("uniqterm common", k)
-        assert a, "exhaustive must still find live common-term docs"
+        b = _ranked_without(bf, "uniqterm common", k, {top[0][0]})
+        assert a, "live common-term docs must still be found"
         assert [x[0] for x in a] == [x[0] for x in b], k
         for (_, s1), (_, s2) in zip(a, b):
             assert s1 == pytest.approx(s2, abs=1e-9)

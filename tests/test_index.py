@@ -93,15 +93,18 @@ def test_rank_identity_all_queries(built, oracle):
             assert s1 == pytest.approx(s2, abs=1e-9), q
 
 
-def test_pruned_equals_exhaustive(built):
+def test_topk_matches_oracle_at_every_k(built, oracle):
+    """Top-k cut-offs from 1 to 100, including multi-term queries whose
+    k-th score ties: ids exact, scores to 1e-9 of the oracle."""
     out, _ = built
+    _, bf = oracle
     reader = IndexReader(out)
     queries = [q["query"] for q in REFERENCE_QUERIES] + \
         ["import return", "def config parse error stream", "buffer"]
     for q in queries:
         for k in (1, 5, 10, 100):
             a = reader.topk(q, k)
-            b = reader.topk_pruned(q, k)
+            b = bf.topk(q, k)
             assert [x[0] for x in a] == [x[0] for x in b], (q, k)
             for (d1, s1), (d2, s2) in zip(a, b):
                 assert s1 == pytest.approx(s2, abs=1e-9)
@@ -122,6 +125,34 @@ def test_deterministic_rebuild(small_corpus, tmp_path):
         da, ta = ra.postings(term)
         db, tb = rb.postings(term)
         assert np.array_equal(da, db) and np.array_equal(ta, tb)
+
+
+def test_build_manifest_is_location_independent(small_corpus, tmp_path):
+    """The same input built into two dirs whose paths differ in length
+    writes byte-identical build manifests, and every file a manifest
+    lists exists under its own index dir."""
+    import glob
+    import json
+    import os
+    from jesterj_ray.index.build_rows import build_index_rows
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(small_corpus, src, row_group_size=64)
+    a = str(tmp_path / "a")
+    b = str(tmp_path / "a-much-longer-directory-name" / "idx")
+    manifests = []
+    for out in (a, b):
+        build_index_rows(src, out, text_col="content", tokenizer="code",
+                         docs_per_partition=64, num_shards=4)
+        paths = sorted(glob.glob(os.path.join(out, "manifest", "build",
+                                              "part-*.json")))
+        assert paths
+        blobs = {os.path.basename(p): open(p, "rb").read() for p in paths}
+        for blob in blobs.values():
+            for rel in json.loads(blob)["output_files"]:
+                assert not os.path.isabs(rel), rel
+                assert os.path.isfile(os.path.join(out, rel)), rel
+        manifests.append(blobs)
+    assert manifests[0] == manifests[1]
 
 
 def test_empty_and_comment_docs_counted(built, oracle):
@@ -177,9 +208,7 @@ def test_chunked_hot_term_merge(small_corpus, tmp_path):
     for q in REFERENCE_QUERIES:
         ha = ra.topk(q["query"], q["k"])
         hb = rb.topk(q["query"], q["k"])
-        hbp = rb.topk_pruned(q["query"], q["k"])
         assert ha == hb
-        assert [x[0] for x in hb] == [x[0] for x in hbp]
 
 
 def test_positions_and_phrase_queries(small_corpus, tmp_path):
@@ -293,8 +322,6 @@ def test_tombstone_delete(small_corpus, tmp_path):
     assert victim_id not in [d for d, _ in got]
     # survivors keep identical scores, just shifted up one rank
     assert got[:4] == [h for h in top[1:5]]
-    pruned = after.topk_pruned("import", 5)
-    assert [d for d, _ in pruned] == [d for d, _ in got]
     # deleting an unknown key is a no-op
     assert delete_docs(out, ["no-such-key"]) == 0
 
@@ -482,13 +509,13 @@ def test_query_modes_match_brute_force_random(reader, oracle, qt, xt, k):
 _PVOCAB = ["ab", "cd", "ef", "gh", "kl"]
 
 
-def _phrase_docs(n, seed):
-    """Short docs over a tiny vocabulary (``ab`` is hot: its df is far
-    above the chunked variant's chunk_target), plus two planted
+def _phrase_docs(n, seed, vocab=_PVOCAB):
+    """Short docs over a tiny vocabulary (its first term is hot: its df
+    is far above the chunked variant's chunk_target), plus two planted
     neighbours: doc 40 ends in ``zz`` and doc 41 starts with ``yy``, so
     ``"zz yy"`` matches only if a phrase crossed a doc boundary."""
     rng = np.random.default_rng(seed)
-    texts = [" ".join(rng.choice(_PVOCAB, size=int(L),
+    texts = [" ".join(rng.choice(vocab, size=int(L),
                                  p=[.4, .2, .2, .1, .1]))
              for L in rng.integers(0, 14, size=n)]
     if n > 41:
@@ -497,9 +524,8 @@ def _phrase_docs(n, seed):
                          "text": texts})
 
 
-@pytest.fixture(scope="module")
-def phrase_variants(tmp_path_factory):
-    """name -> (reader, tiny-cache reader, brute-force oracle, streams):
+def _index_variants(tmp, vocab):
+    """name -> (index dir, brute-force oracle, token streams):
     ``plain`` (one chunk per term), ``chunked`` (re-merged with an
     8-posting chunk target) and ``delta`` (two delta rounds of edits,
     deletes and appends: generations plus tombstones, exact stats).
@@ -511,8 +537,7 @@ def phrase_variants(tmp_path_factory):
     from jesterj_ray.index.build_rows import build_index_rows, delta_reindex
     from jesterj_ray.index.epoch import publish_epoch
     from jesterj_ray.tokenize.tokenizer import simple_tokenize
-    tmp = tmp_path_factory.mktemp("phrase_props")
-    df = _phrase_docs(160, seed=5)
+    df = _phrase_docs(160, 5, vocab)
 
     def write(frame, name):
         path = str(tmp / f"{name}.parquet")
@@ -535,7 +560,7 @@ def phrase_variants(tmp_path_factory):
     build_index_rows(write(df, "d0"), delta, **opts)
     cur = df
     for rnd, seed in ((1, 6), (2, 7)):
-        extra = _phrase_docs(16, seed)
+        extra = _phrase_docs(16, seed, vocab)
         cur = cur.copy()
         cur.loc[cur.index[5 * rnd:5 * rnd + 3], "text"] = \
             extra["text"][:3].to_numpy()
@@ -545,11 +570,10 @@ def phrase_variants(tmp_path_factory):
         delta_reindex(write(cur, f"d{rnd}"), delta, **opts)
 
     out = {}
+    hot = vocab[0]
     for name, path, frame in (("plain", plain, df), ("chunked", chunked, df),
                               ("delta", delta, cur)):
         r = IndexReader(path)
-        tiny = IndexReader(path)
-        tiny._POS_CACHE_BYTES = 300     # evicts on almost every decode
         text_of = {str(k).zfill(12): t
                    for k, t in zip(frame["rid"], frame["text"])}
         ids = r.doc_id_of_dense(np.flatnonzero(~r._tombstone))
@@ -557,11 +581,27 @@ def phrase_variants(tmp_path_factory):
         assert len(texts) == len(frame)
         streams = {int(d): simple_tokenize(t) for d, t in zip(ids, texts)}
         bf = BruteForceIndex([int(d) for d in ids], texts, simple_tokenize)
-        out[name] = (r, tiny, bf, streams)
-    assert len(out["chunked"][0].term_entry("ab")["chunks"]) > 1
-    assert out["delta"][0]._tombstone.any()
-    assert len(out["delta"][0]._load_shard(
-        out["delta"][0]._shard_of("ab"))) > 1     # base + generations
+        out[name] = (path, bf, streams)
+        if name == "chunked":
+            assert len(r.term_entry(hot)["chunks"]) > 1
+        if name == "delta":
+            assert r._tombstone.any() and r._exact_stats
+            assert len(r._load_shard(r._shard_of(hot))) > 1  # generations
+    return out
+
+
+@pytest.fixture(scope="module")
+def phrase_variants(tmp_path_factory):
+    """name -> (reader, tiny-cache reader, oracle, streams) over the
+    :func:`_index_variants`; the tiny reader's position-key cache holds
+    300 bytes, so it evicts on almost every decode."""
+    out = {}
+    built = _index_variants(tmp_path_factory.mktemp("phrase_props"),
+                            _PVOCAB)
+    for name, (path, bf, streams) in built.items():
+        tiny = IndexReader(path)
+        tiny._POS_CACHE_BYTES = 300
+        out[name] = (IndexReader(path), tiny, bf, streams)
     return out
 
 
@@ -637,3 +677,100 @@ def test_positions_need_a_positional_index(built):
         r.positions("import")
     with pytest.raises(ValueError):
         r.phrase_topk("import config", 10)
+
+
+# ---- cached per-term impacts: property test vs the uncached formula ----
+
+# "abc"/"abd" differ only in their last character, "bd"/"cd" only in
+# their first: a cache keyed on a term clipped at either end would serve
+# one term's impacts for another
+_IVOCAB = ["ab", "abc", "abd", "bd", "cd"]
+
+
+@pytest.fixture(scope="module")
+def impact_variants(tmp_path_factory):
+    """name -> (reader, reader whose postings LRU holds 2 entries,
+    oracle, streams) over the :func:`_index_variants`."""
+    out = {}
+    built = _index_variants(tmp_path_factory.mktemp("impacts"), _IVOCAB)
+    for name, (path, bf, streams) in built.items():
+        tiny = IndexReader(path)
+        tiny._postings_cache_max = 2
+        out[name] = (IndexReader(path), tiny, bf, streams)
+    return out
+
+
+def _uncached_scores(reader, bf, terms, boosts=None):
+    """doc_id -> BM25 score: each term's contributions computed afresh
+    from the oracle's postings (alive docs, alive df) with the engine's
+    formula and float order, summed in ``terms`` order."""
+    from jesterj_ray.index.bm25 import B, K1, idf
+    scores = {}
+    for i, t in enumerate(terms):
+        plist = bf.postings.get(t)
+        if not plist:
+            continue
+        ids = sorted(plist)
+        tff = np.array([plist[d] for d in ids], dtype=np.float64)
+        dls = np.array([bf.dl[d] for d in ids], dtype=np.float64)
+        w = idf(reader.n_docs, len(plist))
+        contrib = w * tff * (K1 + 1.0) / (
+            tff + K1 * (1.0 - B + B * dls / reader.avgdl))
+        if boosts is not None and boosts[i] != 1.0:
+            contrib = contrib * boosts[i]
+        for d, c in zip(ids, contrib.tolist()):
+            scores[d] = scores.get(d, 0.0) + c
+    return scores
+
+
+def _ranked(scores, k, keep=lambda d: True):
+    hits = sorted(scores.items(), key=lambda h: (-h[1], h[0]))
+    return [h for h in hits if keep(h[0])][:k]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(variant=st.sampled_from(["plain", "chunked", "delta"]),
+       terms=st.lists(st.sampled_from(_IVOCAB + ["nope"]),
+                      min_size=1, max_size=4),
+       boosts=st.lists(st.sampled_from([1.0, 0.5, 2.5, 3.0]),
+                       min_size=4, max_size=4),
+       mm=st.integers(1, 4), slop=st.sampled_from([1, 2]),
+       k=st.integers(1, 40))
+def test_cached_impacts_equal_uncached_formula(impact_variants, variant,
+                                               terms, boosts, mm, slop, k):
+    """Every BM25 path that scores from cached impacts returns, bit for
+    bit, the scores of the uncached formula — plain, multi-chunk and
+    delta-built (exact stats, tombstones) indexes, through a normal
+    reader and through one whose 2-entry LRU evicts constantly."""
+    from jesterj_ray.index.bm25 import dedup_keep_order
+    reader, tiny, bf, streams = impact_variants[variant]
+    q = " ".join(terms)
+    distinct = dedup_keep_order(terms)
+    scores = _uncached_scores(reader, bf, distinct)
+    hits = {d: sum(d in bf.postings.get(t, {}) for t in distinct)
+            for d in scores}
+    first_boost = {}
+    for t, b in zip(terms, boosts):
+        first_boost.setdefault(t, b)
+    boosted = " ".join(f"{t}^{b}" for t, b in zip(terms, boosts))
+    b_scores = _uncached_scores(reader, bf, distinct,
+                                [first_boost[t] for t in distinct])
+
+    def phrase(gap):
+        return _ranked(scores, k, lambda d: _ordered_gap_match(
+            streams[d], terms, gap))
+
+    for r in (reader, tiny):
+        assert r.n_docs == bf.n_docs
+        assert r.topk(q, k) == _ranked(scores, k)
+        ids, vals = r.match_scores(q)
+        assert dict(zip(ids.tolist(), vals.tolist())) == scores
+        assert r.topk_and(q, k) == _ranked(
+            scores, k, lambda d: hits[d] == len(distinct))
+        assert r.topk_mm(q, k, mm) == _ranked(
+            scores, k, lambda d: hits[d] >= min(mm, len(distinct)))
+        assert r.topk_boosted(boosted, k) == _ranked(b_scores, k)
+        assert r.phrase_topk(q, k) == phrase(0)
+        assert r.phrase_slop_topk(q, slop, k) == phrase(slop)
+    assert len(tiny._postings_cache) <= 2

@@ -406,10 +406,8 @@ def test_compact_index_equals_rebuild(tmp_path):
     build_index_rows(src, out2, **kw)
     qs = QUERIES + ["roundtwo beta", "otherchange"]
     assert score_map(out, qs) == score_map(out2, qs)
-    # phrase + pruned survive renumbering
+    # phrase survives renumbering
     r_ = IndexReader(out)
-    assert [h[0] for h in r_.topk_pruned("alpha beta", 10)] == \
-        [h[0] for h in r_.topk("alpha beta", 10)]
     assert len(r_.phrase_topk("roundtwo beta", 5)) == 1
 
     # serving repartition now accepts it, rank-identical to global
