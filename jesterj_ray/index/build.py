@@ -17,21 +17,23 @@ Two build paths share this module's partition indexer and merge:
 
 Both write per-partition RUNS PRE-PARTITIONED BY TERM SHARD (a map-side
 partitioned spill): one file per (shard, partition) carrying term rows
-with delta+varbyte doc blobs, tf blobs, optional position blobs, and
-per-block metadata (last doc / max tf / counts / byte offsets per
-<=BLOCK_SIZE postings).  ``partition_runs`` builds a partition's whole
+with count/cf/first/last doc, a delta+varbyte doc blob, a tf blob and an
+optional position blob.  ``partition_runs`` builds a partition's whole
 run table in one vectorized pass: factorize + ``np.unique`` count the
 (term, doc) pairs, and ``codec.encode_runs`` — the one writer of this
 row layout, shared with compaction and serving repartition — encodes
 every term at once.  The merge (``merge_runs``) is then one task per
-term shard reading only its own files — no Ray shuffle — and stitches
-runs byte-wise: only each run's first doc value is re-encoded as a delta
-against the previous run's last doc; tf/pos blobs and block metadata
-concatenate with offset shifts.  Merge cost is O(runs + bytes), NEVER
-decoding postings; hot terms beyond ``chunk_target`` postings split into
-multiple (term, chunk) segment rows, bounding memory (the answer to term
-skew — a hot term contributes P small pre-aggregated rows, not 10^10
-postings, and is never materialized whole).
+term shard reading only its own files — no Ray shuffle — and has ONE
+stitcher (``_stitch_groups_vec``): each round's sorted rows are planned
+into (term, chunk) groups and stitched byte-wise in one vectorized call —
+only each run's first doc value is re-encoded as a delta against the
+previous run's last doc; tf/pos blobs concatenate as-is.  A segment row
+is therefore exactly a fresh ``encode_runs`` of its postings.  Merge
+cost is O(runs + bytes), NEVER decoding postings; hot terms reaching
+``chunk_target`` postings split into multiple (term, chunk) segment
+rows, bounding memory (the answer to term skew — a hot term contributes
+P small pre-aggregated rows, not 10^10 postings, and is never
+materialized whole).
 
 Fault tolerance: per-partition manifest rows committed by atomic rename
 after the partition's outputs; per-row poison quarantine at tokenize;
@@ -63,7 +65,9 @@ from ..state.manifest import (Manifest, MAX_ATTEMPTS, STATUS_DEAD,
                               STATUS_INDEXED, atomic_write_bytes,
                               atomic_write_table)
 from ..tokenize.tokenizer import TOKENIZERS
-from .codec import _bin_view, encode_runs
+from . import codec
+from .codec import (_bin_view, _cum0, encode_runs, range_cuts,
+                    varbyte_encode, varbyte_lengths)
 from .epoch import publish_epoch
 
 DOC_BITS = 32  # doc_id = pid << DOC_BITS | local_rank
@@ -214,9 +218,9 @@ def partition_runs(toks_per_doc: List[List[str]], dls: np.ndarray,
         starts = np.flatnonzero(np.r_[True, t_idx[1:] != t_idx[:-1]])
         offsets = np.r_[starts, t_idx.size]
         terms = np.asarray(uniques, dtype=object)[t_idx[starts]]
-    # per-run block metadata so the MERGE never decodes postings (LAYOUT
-    # CONTRACT: codec.encode_runs is the one writer of this row layout —
-    # compaction and serving repartition re-encode through it too)
+    # LAYOUT CONTRACT: codec.encode_runs is the one writer of this row
+    # layout — compaction and serving repartition re-encode through it,
+    # and the merge's stitched rows equal its output byte for byte
     return pa.table(
         {"term": pa.array(terms, pa.string()),
          "pid": pa.array(np.full(terms.size, pid, dtype=np.int64))}
@@ -338,9 +342,8 @@ MERGE_READ_BATCH_MAX = 4096
 # target rows accumulated (across HWM iterations) before each merge round
 # sorts and emits: one HWM step over k uniformly interleaved cursors
 # yields only ~slab/k eligible rows, so per-round fixed costs (sort setup,
-# span bookkeeping, numpy stitch setup) would dominate and vec/arrow spans
-# fragment below their thresholds; batching rounds to this many rows
-# amortizes them.  Memory bound = this + one slab x runs.
+# chunk planning, numpy stitch setup) would dominate; batching rounds to
+# this many rows amortizes them.  Memory bound = this + one slab x runs.
 MERGE_ROUND_ROWS = 8192
 # generational compaction trigger (r02 VERDICT #5): a shard accumulating
 # this many generation segments compacts (full re-merge of base + all
@@ -354,27 +357,10 @@ COMPACT_AFTER_GENS = 4
 def _segment_schema(has_pos: bool) -> pa.Schema:
     fields = [("term", pa.string()), ("chunk", pa.int32()),
               ("df", pa.int64()), ("cf", pa.int64()), ("count", pa.int64()),
-              ("doc_blob", pa.binary()), ("tf_blob", pa.binary()),
-              ("block_last", pa.list_(pa.int64())),
-              ("block_max_tf", pa.list_(pa.int64())),
-              ("block_counts", pa.list_(pa.int64())),
-              ("block_doc_off", pa.list_(pa.int64())),
-              ("block_tf_off", pa.list_(pa.int64()))]
+              ("doc_blob", pa.binary()), ("tf_blob", pa.binary())]
     if has_pos:
         fields.append(("pos_blob", pa.binary()))
     return pa.schema(fields)
-
-
-# minimum consumed-run length that goes through the zero-copy Arrow-slice
-# fast path; shorter runs use the python row path (a 1-row pa.Table per
-# term would fragment worse than list appends)
-BULK_SLICE_MIN = 32
-
-# minimum total rows in a contiguous stretch of complete multi-run term
-# groups that go through the vectorized stitcher (_stitch_groups_vec);
-# smaller stretches ride the python stitcher (numpy setup on tiny inputs
-# costs more than it saves)
-VEC_STITCH_MIN_ROWS = 32
 
 
 def _ranges_gather(data: np.ndarray, starts: np.ndarray,
@@ -400,180 +386,124 @@ def _concat_groups_binary(arr: pa.Array, gb: np.ndarray) -> pa.Array:
         [None, pa.py_buffer(new_off), arr.buffers()[2]])
 
 
-def _concat_groups_list(arr: pa.Array, gb: np.ndarray) -> pa.Array:
-    """list<int64> array whose row g concatenates input rows
-    [gb[g], gb[g+1]) verbatim — offsets gathered, child values shared
-    (``arr.values`` ignores the parent's offset, so the raw int32
-    offsets index it directly)."""
-    off32 = np.frombuffer(arr.buffers()[1], dtype=np.int32)[
-        arr.offset: arr.offset + len(arr) + 1]
-    return pa.ListArray.from_arrays(
-        pa.array(np.ascontiguousarray(off32[gb]), pa.int32()), arr.values)
+def _stitch_groups_vec(ts: pa.Table, gb: np.ndarray, chunk: np.ndarray,
+                       schema: pa.Schema) -> pa.Table:
+    """The merge's one stitcher: segment rows for a batch of (term,
+    chunk) groups, with no per-row Python and no posting decode.
 
-
-def _flat_list_col(c: pa.Array):
-    """Flatten a list column to (values, per-row lengths, row offsets
-    LO[i..i+1] = slice of row i in values)."""
-    V = np.asarray(c.flatten())
-    m = np.asarray(pc.list_value_length(c), dtype=np.int64)
-    LO = np.empty(m.size + 1, np.int64)
-    LO[0] = 0
-    np.cumsum(m, out=LO[1:])
-    return V, m, LO
-
-
-def _shifted_off_lists(V: np.ndarray, LO: np.ndarray, m: np.ndarray,
-                       starts: np.ndarray, sizes: np.ndarray,
-                       shift: np.ndarray) -> pa.Array:
-    """Vectorized analog of emit()'s block-offset stitching for a batch of
-    complete multi-run term groups.
-
-    ``V``/``LO``/``m``: flattened per-row offset lists (values, row starts
-    into V, per-row lengths); rows are grouped into ``sizes[g]``-row
-    groups starting at row ``starts[g]``.  Per row r (run) with running
-    byte base ``dbase``: emit ``off[0]+dbase``, then ``off[j]+dbase+
-    shift[r]`` for the middle elements, drop ``off[-1]``, and advance
-    ``dbase += off[-1]+shift[r]``; each group appends the final ``dbase``.
-    Exactly mirrors emit() (doc offsets use shift = ndlen-fl of the
-    respliced first varbyte; tf offsets use shift = 0)."""
-    nrows = m.size
-    lastv = V[LO[1:] - 1]
-    c = np.cumsum(lastv + shift)
-    ex = np.concatenate(([0], c[:-1]))
-    dbase = ex - np.repeat(ex[starts], sizes)
-    dend = c[starts + sizes - 1] - ex[starts]
-    row_of = np.repeat(np.arange(nrows), m)
-    pos_in_row = np.arange(V.size, dtype=np.int64) - np.repeat(LO[:-1], m)
-    keep = pos_in_row < (m[row_of] - 1)
-    main = (V + dbase[row_of] + shift[row_of] * (pos_in_row >= 1))[keep]
-    out_len_g = np.add.reduceat(m - 1, starts) + 1
-    fin = np.cumsum(out_len_g) - 1
-    outv = np.empty(int(out_len_g.sum()), np.int64)
-    mask = np.ones(outv.size, bool)
-    mask[fin] = False
-    outv[mask] = main
-    outv[fin] = dend
-    out_off = np.empty(out_len_g.size + 1, np.int64)
-    out_off[0] = 0
-    np.cumsum(out_len_g, out=out_off[1:])
-    return pa.ListArray.from_arrays(
-        pa.array(out_off.astype(np.int32)), pa.array(outv, pa.int64()))
-
-
-def _stitch_groups_vec(ts: pa.Table, sizes: np.ndarray, schema: pa.Schema,
-                       has_pos: bool):
-    """Vectorized stitcher: build the segment rows for a contiguous batch
-    of COMPLETE multi-run term groups (each < chunk_target postings) with
-    no per-row Python — the numpy/Arrow-buffer analog of emit().
-
-    ``ts`` holds the groups' run rows in (term, first_doc) order; group g
-    spans ``sizes[g]`` rows.  tf/pos blobs and the three verbatim block
-    lists are zero-copy offset gathers; the doc blob re-encodes only each
-    non-first run's first varbyte (delta against the previous run's last
-    doc) and moves the rest with two vectorized byte passes; block offset
-    lists are rebuilt by `_shifted_off_lists`.  Returns None when the
-    stitched doc bytes would overflow int32 binary offsets (pathological
-    — caller falls back to the python stitcher)."""
-    from .codec import varbyte_encode, varbyte_lengths
-    nrows = ts.num_rows
-    G = sizes.size
-    starts = np.empty(G, np.int64)
-    starts[0] = 0
-    np.cumsum(sizes[:-1], out=starts[1:])
-    gb = np.concatenate((starts, [nrows]))
+    ``ts`` holds the groups' run rows in (term, first_doc) order; group
+    g is rows [gb[g], gb[g + 1]) (``gb[0] == 0``, ``gb[-1] ==
+    ts.num_rows``) and becomes segment row (term, ``chunk[g]``).  A run's
+    doc blob is correct except its first value (an absolute doc id): each
+    non-first run of a group re-encodes that value as a delta against the
+    previous run's last doc and keeps the rest of its bytes verbatim, so a
+    size-1 group stitches to its row verbatim and the output doc bytes
+    never exceed the input's.  tf/pos blobs concatenate as-is (zero-copy
+    offset gathers; position deltas restart per (term, doc))."""
+    ts = ts.combine_chunks()
 
     def col(n):
-        c = ts.column(n)
-        if isinstance(c, pa.ChunkedArray):
-            return c.chunk(0) if c.num_chunks == 1 \
-                else pa.concat_arrays(c.chunks)
-        return c
+        return ts.column(n).chunk(0)
 
+    nrows = ts.num_rows
+    starts = gb[:-1]
     first_doc = np.asarray(col("first_doc"))
     last_doc = np.asarray(col("last_doc"))
-    is_first = np.zeros(nrows, bool)
-    is_first[starts] = True
-    nf = ~is_first
+    nf = np.ones(nrows, bool)
+    nf[starts] = False
     deltas = (first_doc - np.concatenate(([0], last_doc[:-1])))[nf] \
         .astype(np.uint64)
     nd_len = varbyte_lengths(deltas)
     nd_arr = np.frombuffer(varbyte_encode(deltas), np.uint8)
-    # --- doc blob: drop each non-first run's first varbyte (length fl =
-    # position of its first stop byte), splice in the re-encoded delta
-    darr = col("doc_blob")
-    off, data = _bin_view(darr)
-    row_start = off[:-1]
-    row_len = off[1:] - off[:-1]
+    # --- doc blob: drop each non-first run's first varbyte (fl bytes,
+    # up to its first stop byte) and splice in the re-encoded delta;
+    # every other byte moves verbatim.  Masks cost one byte per blob byte
+    # (a value spans at most 10 bytes, so the loops are short)
+    off, data = _bin_view(col("doc_blob"))
     lo_b = int(off[0])
-    reg = data[lo_b:int(off[-1])]
-    stops = np.flatnonzero((reg & 0x80) == 0)
-    nfs_rel = row_start[nf] - lo_b
-    fl = stops[np.searchsorted(stops, nfs_rel)] - nfs_rel + 1
-    vstart = row_start.copy()
-    vlen = row_len.copy()
-    vstart[nf] += fl
-    vlen[nf] -= fl
-    verbatim = _ranges_gather(data, vstart, vlen)
-    out_row_len = row_len.copy()
-    out_row_len[nf] += nd_len - fl
-    out_start = np.empty(nrows + 1, np.int64)
-    out_start[0] = 0
-    np.cumsum(out_row_len, out=out_start[1:])
-    total_out = int(out_start[-1])
-    if total_out >= (1 << 31):
-        return None
-    ndm = np.zeros(total_out + 1, np.int8)
-    np.add.at(ndm, out_start[:-1][nf], 1)
-    np.add.at(ndm, out_start[:-1][nf] + nd_len, -1)
-    ndmask = np.cumsum(ndm[:-1]).astype(bool)
-    outb = np.empty(total_out, np.uint8)
-    outb[ndmask] = nd_arr
-    outb[~ndmask] = verbatim
+    nf_start = off[:-1][nf]
+    fl = np.ones(nf_start.size, np.int64)
+    while (cont := (data[nf_start + fl - 1] & 0x80) != 0).any():
+        fl += cont
+    keep = np.ones(int(off[-1]) - lo_b, bool)
+    for k in range(int(fl.max(initial=0))):
+        keep[nf_start[fl > k] - lo_b + k] = False
+    row_len = np.diff(off)
+    row_len[nf] += nd_len - fl
+    out_start = _cum0(row_len)
+    new_start = out_start[:-1][nf]
+    is_new = np.zeros(int(out_start[-1]), bool)
+    for k in range(int(nd_len.max(initial=0))):
+        is_new[new_start[nd_len > k] + k] = True
+    outb = np.empty(is_new.size, np.uint8)
+    outb[is_new] = nd_arr
+    outb[~is_new] = data[lo_b:int(off[-1])][keep]
     doc_arr = pa.Array.from_buffers(
-        pa.binary(), G,
+        pa.binary(), starts.size,
         [None,
          pa.py_buffer(np.ascontiguousarray(out_start[gb].astype(np.int32))),
          pa.py_buffer(outb)])
-    # --- group sums: df = count = sum(block_counts), cf = sum(cf)
-    bc_col = col("block_counts")
-    bcV, _, LObc = _flat_list_col(bc_col)
-    total_g = np.add.reduceat(bcV, LObc[starts])
-    cf_g = np.add.reduceat(np.asarray(col("cf")), starts)
-    # --- block offset lists
-    shift = np.zeros(nrows, np.int64)
-    shift[nf] = nd_len - fl
-    Vd, md, LOd = _flat_list_col(col("block_doc_off"))
-    bdo = _shifted_off_lists(Vd, LOd, md, starts, sizes, shift)
-    Vt, mt, LOt = _flat_list_col(col("block_tf_off"))
-    bto = _shifted_off_lists(Vt, LOt, mt, starts, sizes,
-                             np.zeros(nrows, np.int64))
+    count = np.add.reduceat(np.asarray(col("count")), starts)
     cols = {"term": pc.take(col("term"), pa.array(starts)),
-            "chunk": pa.array(np.zeros(G, np.int32)),
-            "df": pa.array(total_g, pa.int64()),
-            "cf": pa.array(cf_g, pa.int64()),
-            "count": pa.array(total_g, pa.int64()),
-            "doc_blob": doc_arr,
-            "tf_blob": _concat_groups_binary(col("tf_blob"), gb),
-            "block_last": _concat_groups_list(col("block_last"), gb),
-            "block_max_tf": _concat_groups_list(col("block_max_tf"), gb),
-            "block_counts": _concat_groups_list(bc_col, gb),
-            "block_doc_off": bdo, "block_tf_off": bto}
-    if has_pos:
-        cols["pos_blob"] = _concat_groups_binary(col("pos_blob"), gb)
+            "chunk": pa.array(chunk, pa.int32()),
+            "df": pa.array(count, pa.int64()),
+            "cf": pa.array(np.add.reduceat(np.asarray(col("cf")), starts),
+                           pa.int64()),
+            "count": pa.array(count, pa.int64()),
+            "doc_blob": doc_arr}
+    for n in schema.names[6:]:
+        cols[n] = _concat_groups_binary(col(n), gb)
     return pa.table([cols[n] for n in schema.names], schema=schema)
+
+
+def _plan_chunks(terms: np.ndarray, counts: np.ndarray, chunk_target: int,
+                 chunk0: int, final: bool):
+    """Segment rows of one merge round over its (term, first_doc)-sorted
+    run rows.  A term's runs form one group; a group is cut greedily into
+    chunks, each closed by the run that brings it to ``chunk_target``
+    postings or more.  ``chunk0`` numbers the first term's first chunk
+    (carried in with that term from the previous round).  Unless
+    ``final``, the last term may continue next round: its complete chunks
+    are planned, its incomplete tail is not.
+
+    Returns (row bounds of the planned segment rows, their chunk ids,
+    the carried term's next chunk id); rows from ``bounds[-1]`` on are
+    the carried tail."""
+    n = terms.size
+    starts = np.flatnonzero(np.r_[True, terms[1:] != terms[:-1]])
+    ends = np.r_[starts[1:], n]
+    cum = _cum0(counts)
+    inner = []
+    hot = np.flatnonzero(cum[ends] - cum[starts] >= chunk_target)
+    for g in np.union1d(hot, [starts.size - 1]):
+        a, e = int(starts[g]), int(ends[g])
+        while (b := int(np.searchsorted(cum, cum[a] + chunk_target))) < e:
+            inner.append(b)
+            a = b
+    # a = the last term's last chunk start
+    tail = n if final or cum[n] - cum[a] >= chunk_target else a
+    bounds = np.union1d(np.r_[starts, np.asarray(inner, np.int64)], [n])
+    seg_group = np.searchsorted(starts, bounds[:-1], side="right") - 1
+    chunk = np.arange(bounds.size - 1) - \
+        np.searchsorted(bounds, starts)[seg_group]
+    chunk[seg_group == 0] += chunk0
+    k = int(np.searchsorted(bounds, tail))
+    return bounds[:k + 1], chunk[:k], int(np.r_[chunk, chunk[-1] + 1][k])
 
 
 class _RunCursor:
     """Streaming cursor over one term-sorted run file: holds ONE slab as
-    an Arrow RecordBatch plus the slab's (term, first_doc) sort keys (the
-    only columns that materialize to Python; everything else moves via
-    Arrow slice/take — r02 VERDICT #3: no per-row dicts).  Slab rows are
-    sized from the file's avg compressed row bytes unless ``read_batch``
-    pins them (tests)."""
+    an Arrow RecordBatch of the ``columns`` the stitcher reads (a run
+    file's other columns — e.g. an older layout's block metadata — are
+    never loaded) plus the slab's (term, first_doc) sort keys, the only
+    values that materialize to Python.  Slab rows are sized from the
+    file's avg compressed row bytes unless ``read_batch`` pins them
+    (tests)."""
 
     __slots__ = ("it", "batch", "keys", "pos", "n")
 
-    def __init__(self, path: str, read_batch: int = None):
+    def __init__(self, path: str, columns: List[str],
+                 read_batch: int = None):
         import pyarrow.parquet as pq
         pf = pq.ParquetFile(path)
         if read_batch is None:
@@ -582,7 +512,7 @@ class _RunCursor:
             read_batch = min(MERGE_READ_BATCH_MAX,
                              max(MERGE_READ_BATCH_MIN,
                                  MERGE_SLAB_TARGET_BYTES // avg))
-        self.it = pf.iter_batches(batch_size=read_batch)
+        self.it = pf.iter_batches(batch_size=read_batch, columns=columns)
         self.batch = None
         self.pos = self.n = 0
         self.advance_slab()
@@ -592,14 +522,12 @@ class _RunCursor:
         self.batch = batch
         if batch is None:
             return False
-        names = batch.schema.names
-        terms = batch.column(names.index("term")).to_pylist()
-        fds = batch.column(names.index("first_doc")).to_pylist()
+        terms = batch.column("term").to_pylist()
+        fds = batch.column("first_doc").to_pylist()
         self.keys = list(zip(terms, fds))
         self.pos = 0
         self.n = len(self.keys)
         return True
-
 
 
 def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
@@ -609,21 +537,19 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
     partition under runs/shard-<s>/) into a segment file.  No shuffle: the
     stage-1 tasks partitioned the runs by term shard at write time.
 
-    STREAMING k-way merge (r01 VERDICT fix — the old path concat'd every
-    run file into one in-memory table, capping shard size by worker
-    memory): runs are term-sorted at write time, so a ``heapq.merge`` over
-    per-file row iterators yields rows in global (term, first_doc) order;
-    chunks are stitched and flushed to an incremental parquet writer every
-    ``MERGE_FLUSH_TERMS`` rows.  Peak memory = runs x one read slab + one
-    in-flight chunk + the flush buffer — independent of shard size.
+    STREAMING k-way merge: runs are term-sorted at write time, so rounds
+    over per-file slab cursors yield rows in global (term, first_doc)
+    order; each round's rows are planned into (term, chunk) groups and
+    stitched by ``_stitch_groups_vec``, and segment rows go to an
+    incremental parquet writer every ``MERGE_FLUSH_TERMS`` rows.  Peak
+    memory = runs x one read slab + one round + one carried chunk + the
+    flush buffer — independent of shard size.
 
-    A term whose postings exceed ``chunk_target`` is emitted as MULTIPLE
+    A term whose postings reach ``chunk_target`` is emitted as MULTIPLE
     segment rows (term, chunk) in ascending doc order, so the merge never
     materializes a hot term's full posting list (at 10^12 docs ``import``
     would be tens of GB) — the bounded-memory answer to term skew on the
     merge side; the query engine concatenates chunks at read time."""
-    from .codec import varbyte_encode_one
-
     # captured at CLOSURE creation (driver) so they serialize into the
     # Ray tasks — module-global monkeypatching would silently not reach
     # the worker processes (r3 fix: the tiny-flush/slab test was vacuous)
@@ -641,18 +567,23 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
         import pyarrow.parquet as pq
         man = Manifest(out_dir, "merge")
         prior = man.read(shard)
-        shard_dir = os.path.join(out_dir, "runs", f"shard-{shard:04d}")
-        all_files = sorted(os.path.join(shard_dir, f)
+        shard_rel = os.path.join("runs", f"shard-{shard:04d}")
+        shard_dir = os.path.join(out_dir, shard_rel)
+        all_files = sorted(os.path.join(shard_rel, f)
                            for f in os.listdir(shard_dir)
                            if f.endswith(".parquet")) \
             if os.path.isdir(shard_dir) else []
-        # PER-SHARD, PER-FILE fingerprints (path+size+mtime_ns): unchanged
-        # shards skip entirely; a shard whose run set only GREW (per-doc
-        # delta) merges just the NEW runs into an append-only GENERATION
-        # segment — delta merge cost is O(delta), not O(shard).  Any
-        # changed/removed run forces a full re-merge (compaction).
-        cur_fp = {p: f"{os.path.getsize(p)}:{os.stat(p).st_mtime_ns}"
-                  for p in all_files}
+        # PER-SHARD, PER-FILE fingerprints (size+mtime_ns, keyed by the
+        # path relative to the index dir, so a moved index still skips):
+        # unchanged shards skip entirely; a shard whose run set only GREW
+        # (per-doc delta) merges just the NEW runs into an append-only
+        # GENERATION segment — delta merge cost is O(delta), not
+        # O(shard).  Any changed/removed run forces a full re-merge
+        # (compaction).
+        cur_fp = {}
+        for p in all_files:
+            st = os.stat(os.path.join(out_dir, p))
+            cur_fp[p] = f"{st.st_size}:{st.st_mtime_ns}"
         shard_fp = hashlib.sha256(
             "|".join(f"{p}:{v}" for p, v in cur_fp.items()).encode()
         ).hexdigest()
@@ -695,209 +626,72 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
             # must leave the committed base+gen artifact set intact
             # (ADVICE r02: never destroy committed artifacts while the
             # replacement is still in flight)
+        files = [os.path.join(out_dir, p) for p in files]
         has_pos = bool(files) and "pos_blob" in pq.ParquetFile(
             files[0]).schema_arrow.names
         schema = _segment_schema(has_pos)
-        out = {name: [] for name in schema.names}
+        blob_cols = schema.names[5:]
+        run_cols = ["term", "count", "cf", "first_doc", "last_doc"] + \
+            blob_cols
         state = {"writer": None, "terms": 0}
         import uuid as _uuid
         tmp = os.path.join(seg_dir, f".tmp-{_uuid.uuid4().hex[:8]}.parquet")
 
-        # ordered buffer of pending segment rows: zero-copy Arrow slices
-        # from the bulk path interleaved (in term order) with tables built
-        # from the python stitch rows in ``out``
+        # pending segment tables, in term order
         parts: list = []
         buf = {"rows": 0}
 
-        def spill_py():
-            if out["term"]:
-                parts.append(pa.table(
-                    {n: pa.array(out[n], schema.field(n).type)
-                     for n in schema.names}))
-                for n in schema.names:
-                    out[n].clear()
-
         def flush(force: bool = False):
-            spill_py()
             if not parts and (state["writer"] or not force):
                 return
             if state["writer"] is None:
                 state["writer"] = pq.ParquetWriter(tmp, schema)
-            t = pa.concat_tables(parts) if parts else pa.table(
-                {n: pa.array([], schema.field(n).type)
-                 for n in schema.names})
+            t = pa.concat_tables(parts) if parts else schema.empty_table()
             state["writer"].write_table(t, row_group_size=SEG_ROW_GROUP_ROWS)
             state["terms"] += t.num_rows
             parts.clear()
             buf["rows"] = 0
 
-        def emit(term, chunk_id, run_rows):
-            """Stitch one chunk's runs with NO posting decode at all: a
-            run's doc blob is correct except its first value (an absolute
-            doc id) — splice in a re-encoded first DELTA and keep the rest
-            verbatim; tf/pos blobs concatenate as-is; block metadata was
-            computed at run-write time and concatenates with byte-offset
-            shifts.  Merge cost is O(runs + bytes), independent of posting
-            count — blocks at run boundaries are simply shorter than
-            BLOCK_SIZE (block_counts records each block's size).
-            ``run_rows`` is a list of (slab_cols, row_idx) references —
-            no per-row dicts; and pure-Python list arithmetic throughout:
-            the per-run block lists are short, so list ops beat
-            numpy-on-tiny-arrays ~10x (profiled r3, VERDICT #3)."""
-            doc_parts = []
-            prev_last = 0
-            bl: list = []
-            bm: list = []
-            bc: list = []
-            doff: list = []
-            toff: list = []
-            dbase = tbase = 0
-            cf = 0
-            for i, (c, x) in enumerate(run_rows):
-                blob = c["doc_blob"][x]
-                if i == 0:
-                    doc_parts.append(blob)
-                    shift = 0
-                else:
-                    fl = 1
-                    while blob[fl - 1] & 0x80:
-                        fl += 1
-                    nd = varbyte_encode_one(c["first_doc"][x] - prev_last)
-                    doc_parts.append(nd + blob[fl:])
-                    shift = len(nd) - fl
-                prev_last = c["last_doc"][x]
-                cf += c["cf"][x]
-                bl += c["block_last"][x]
-                bm += c["block_max_tf"][x]
-                bc += c["block_counts"][x]
-                off = c["block_doc_off"][x]
-                doff.append(dbase + off[0])        # block 0: no shift
-                if len(off) > 2:
-                    base = dbase + shift
-                    doff.extend(base + o for o in off[1:-1])
-                dbase += off[-1] + shift
-                to = c["block_tf_off"][x]
-                toff.append(tbase + to[0])
-                if len(to) > 2:
-                    toff.extend(tbase + o for o in to[1:-1])
-                tbase += to[-1]
-            doff.append(dbase)
-            toff.append(tbase)
-            total = sum(bc)
-            out["term"].append(term)
-            out["chunk"].append(chunk_id)
-            out["df"].append(total)
-            out["cf"].append(cf)
-            out["count"].append(total)
-            out["doc_blob"].append(b"".join(doc_parts))
-            out["tf_blob"].append(b"".join(c["tf_blob"][x]
-                                           for c, x in run_rows))
-            out["block_last"].append(bl)
-            out["block_max_tf"].append(bm)
-            out["block_counts"].append(bc)
-            out["block_doc_off"].append(doff)
-            out["block_tf_off"].append(toff)
-            if has_pos:
-                # per-(term,doc) position deltas restart, so run blobs
-                # concatenate in doc order without re-encoding
-                out["pos_blob"].append(b"".join(c["pos_blob"][x]
-                                                for c, x in run_rows))
-            buf["rows"] += 1
-            if buf["rows"] >= flush_terms:
-                flush()
+        def emit(ts: pa.Table, gb: np.ndarray, chunk: np.ndarray):
+            """Stitch the planned groups, one call per group range whose
+            input blob bytes stay within ``codec.MAX_BLOB_BUFFER_BYTES``
+            (the stitched bytes never exceed the input's)."""
+            sums = [_cum0(np.asarray(pc.binary_length(ts.column(c))))
+                    [gb] for c in blob_cols]
+            cuts = range_cuts(sums, codec.MAX_BLOB_BUFFER_BYTES)
+            for a, b in zip(cuts[:-1], cuts[1:]):
+                lo, hi = int(gb[a]), int(gb[b])
+                parts.append(_stitch_groups_vec(
+                    ts.slice(lo, hi - lo), gb[a:b + 1] - lo, chunk[a:b],
+                    schema))
+                buf["rows"] += b - a
+                if buf["rows"] >= flush_terms:
+                    flush()
 
-        _BULK_FIELDS = ("doc_blob", "tf_blob", "block_last", "block_max_tf",
-                        "block_counts", "block_doc_off", "block_tf_off") + \
-            (("pos_blob",) if has_pos else ())
-
-        def bulk_copy_arrow(sl: pa.Table):
-            """Fast path: a stretch of COMPLETE single-run terms (each
-            lives in exactly one run file, so its segment row IS its run
-            row) reshapes an Arrow gather straight into the segment
-            schema — no Python per row.  This is the dominant case at
-            high vocab, where most terms are rare (df small, one
-            partition)."""
-            m = sl.num_rows
-            cnt = sl.column("count")
-            cols = {"term": sl.column("term"),
-                    "chunk": pa.chunked_array(
-                        [pa.array(np.zeros(m, dtype=np.int32))]),
-                    "df": cnt, "cf": sl.column("cf"),
-                    "count": cnt}
-            for f in _BULK_FIELDS:
-                cols[f] = sl.column(f)
-            spill_py()  # keep term order: stitched rows precede the slice
-            parts.append(pa.table(
-                [cols[n] for n in schema.names], schema=schema))
-            buf["rows"] += m
-            if buf["rows"] >= flush_terms:
-                flush()
-
-        def bulk_copy_py(cols, lo, hi):
-            """Short-run bulk (below BULK_SLICE_MIN): list appends beat a
-            tiny pa.Table per run."""
-            m = hi - lo
-            if m <= 0:
-                return
-            out["term"].extend(cols["term"][lo:hi])
-            out["chunk"].extend([0] * m)
-            cnts = cols["count"][lo:hi]
-            out["df"].extend(cnts)
-            out["count"].extend(cnts)
-            out["cf"].extend(cols["cf"][lo:hi])
-            for f in _BULK_FIELDS:
-                out[f].extend(cols[f][lo:hi])
-            buf["rows"] += m
-            if buf["rows"] >= flush_terms:
-                flush()
-
-        # consumer state for the (rare) terms spanning multiple run files
-        st = {"term": None, "rows": [], "acc": 0, "chunk": 0}
-
-        def feed_row(cols, idx):
-            t = cols["term"][idx]
-            if t != st["term"]:
-                if st["rows"]:
-                    emit(st["term"], st["chunk"], st["rows"])
-                st["term"], st["rows"] = t, []
-                st["acc"] = st["chunk"] = 0
-            st["rows"].append((cols, idx))
-            st["acc"] += int(cols["count"][idx])
-            if st["acc"] >= chunk_target:
-                emit(st["term"], st["chunk"], st["rows"])
-                st["rows"], st["acc"] = [], 0
-                st["chunk"] += 1
-
-        def finalize():
-            if st["rows"]:
-                emit(st["term"], st["chunk"], st["rows"])
-            st["term"], st["rows"] = None, []
-            st["acc"] = st["chunk"] = 0
-
-        # ROUND-BASED k-way merge (r02 VERDICT #3).  Per round: every
-        # cursor's rows with key <= HWM (the minimum over cursors of its
-        # slab's LAST key — any unloaded row is > its slab's last key, so
-        # eligible rows are globally complete up to the HWM term) concat
-        # into ONE Arrow table, ONE C++ sort orders them, numpy boundary
-        # detection groups terms, and then exactly TWO gathers move the
-        # data: single-run-term stretches take() directly into segment
-        # shape (no Python per row — the dominant case at high vocab) and
-        # stitch rows (multi-run terms + the HWM-term tail, which may
-        # continue next round) take()+to_pydict ONCE and feed the
-        # stitcher.  Per-row cost is a C sort slot; Python only per
-        # multi-run TERM.  Memory = cursors x one slab, as before.
+        # ROUND-BASED k-way merge.  Per round: every cursor's rows with
+        # key <= HWM (the minimum over cursors of its slab's LAST key —
+        # any unloaded row is > its slab's last key, so eligible rows are
+        # globally complete up to the HWM term) concat into ONE Arrow
+        # table, ONE C++ sort orders them, and ``_plan_chunks`` groups
+        # them into (term, chunk) segment rows that ``emit`` stitches.
+        # The round's last term may continue in the next round: its
+        # incomplete-chunk rows and next chunk id carry over (its
+        # complete chunks are emitted now, so the carry stays below
+        # chunk_target postings).  Memory = cursors x one slab + one
+        # round.
         from bisect import bisect_right
         try:
             cursors = []
             for f in files:
-                c = _RunCursor(f, read_batch)
+                c = _RunCursor(f, run_cols, read_batch)
                 if c.batch is not None:
                     cursors.append(c)
+            carry_term, carry, carry_chunk = None, None, 0
             while cursors:
                 # accumulate multiple HWM iterations into one round: each
                 # iteration's eligible rows (~slab/k when cursors
                 # interleave uniformly) are too few to amortize the sort
-                # and span machinery below
+                # and stitch setup below
                 slices = []
                 nrows_acc = 0
                 while cursors and nrows_acc < round_rows:
@@ -911,132 +705,21 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
                     cursors = [c for c in cursors
                                if c.pos < c.n or c.advance_slab()]
                 t = pa.Table.from_batches(slices)
-                idx = pc.sort_indices(
-                    t.select(["term", "first_doc"]),
-                    sort_keys=[("term", "ascending"),
-                               ("first_doc", "ascending")])
-                idx_np = np.asarray(idx)
-                tnp = np.asarray(pc.take(t.column("term"), idx))
-                n_r = tnp.size
-                bnd = np.r_[True, tnp[1:] != tnp[:-1]]
-                starts = np.flatnonzero(bnd)
-                ends = np.r_[starts[1:], n_r]
-                sizes = ends - starts
-                G = starts.size
-                # classify groups: multi-run terms, the FINAL group (HWM
-                # term — may continue next round) and a group continuing
-                # the pending term STITCH; single-run groups are
-                # verbatim-copyable, and maximal single stretches of
-                # >= BULK_SLICE_MIN rows go through the Arrow gather
-                # (shorter stretches ride the python gather — a 1-row
-                # pa.Table per term would fragment worse)
-                single = sizes == 1
-                single[G - 1] = False
-                if st["term"] is not None and tnp[starts[0]] == st["term"]:
-                    single[0] = False
-                # maximal single-group spans, vectorized
-                edge = np.flatnonzero(np.diff(
-                    np.r_[np.int8(0), single.view(np.int8), np.int8(0)]))
-                arrow_spans = [(a, b) for a, b in
-                               zip(edge[0::2], edge[1::2])
-                               if b - a >= BULK_SLICE_MIN]
-                row_in_arrow = np.zeros(n_r, dtype=bool)
-                for a, b in arrow_spans:
-                    row_in_arrow[starts[a]:starts[b - 1] + 1] = True
-                # COMPLETE groups under chunk_target go through the
-                # vectorized stitcher in maximal contiguous spans — the
-                # dominant shape on interleaved corpora (df>1), where the
-                # python emit()-per-term path used to bound the merge.
-                # Single-run groups stitch to their verbatim row, so they
-                # are absorbed rather than allowed to fragment the spans;
-                # long all-single stretches still prefer the cheaper
-                # zero-copy arrow slice path above.
-                cnp = np.asarray(pc.take(t.column("count"), idx))
-                vec = np.ones(G, dtype=bool)
-                vec[G - 1] = False
-                if st["term"] is not None and tnp[starts[0]] == st["term"]:
-                    vec[0] = False
-                vec &= np.add.reduceat(cnp, starts) < chunk_target
-                for a, b in arrow_spans:
-                    vec[a:b] = False
-                vedge = np.flatnonzero(np.diff(
-                    np.r_[np.int8(0), vec.view(np.int8), np.int8(0)]))
-                vec_spans = []
-                for a, b in zip(vedge[0::2], vedge[1::2]):
-                    if ends[b - 1] - starts[a] >= VEC_STITCH_MIN_ROWS:
-                        vec_spans.append((a, b))
-                    else:
-                        vec[a:b] = False
-                row_in_vec = np.zeros(n_r, dtype=bool)
-                for a, b in vec_spans:
-                    row_in_vec[starts[a]:ends[b - 1]] = True
-                vspan_at = {a: b for a, b in vec_spans}
-                # ONE gather + ONE python conversion for everything else,
-                # in group order (stitch rows AND short single groups —
-                # both append to the same ``out`` buffer, so ordering
-                # relative to emit() is append order, for free)
-                sidx = idx_np[~(row_in_arrow | row_in_vec)]
-                scols = t.take(pa.array(sidx)).to_pydict() if sidx.size \
-                    else {}
-                starts_l = starts.tolist()
-                sizes_l = sizes.tolist()
-                single_l = single.tolist()
-                vec_l = vec.tolist()
-                span_at = {a: b for a, b in arrow_spans}
-                p = 0
-                g = 0
-                while g < G:
-                    b = span_at.get(g)
-                    if b is not None:
-                        finalize()
-                        bidx = idx_np[starts_l[g]:starts_l[b - 1] + 1]
-                        bulk_copy_arrow(t.take(pa.array(bidx)))
-                        g = b
-                        continue
-                    b = vspan_at.get(g)
-                    if b is not None:
-                        finalize()
-                        vidx = idx_np[starts_l[g]:
-                                      starts_l[b - 1] + sizes_l[b - 1]]
-                        ts = t.take(pa.array(vidx))
-                        tbl = _stitch_groups_vec(ts, sizes[g:b], schema,
-                                                 has_pos)
-                        if tbl is None:
-                            # int32 blob-offset overflow (pathological):
-                            # python stitcher on this span's rows only
-                            sp = ts.to_pydict()
-                            for i in range(len(vidx)):
-                                feed_row(sp, i)
-                            finalize()
-                        else:
-                            spill_py()
-                            parts.append(tbl)
-                            buf["rows"] += b - g
-                            if buf["rows"] >= flush_terms:
-                                flush()
-                        g = b
-                        continue
-                    sz = sizes_l[g]
-                    if single_l[g]:
-                        # short single stretch: coalesce consecutive
-                        h = g
-                        rows = 0
-                        while h < G and single_l[h] and \
-                                span_at.get(h) is None and not vec_l[h]:
-                            rows += sizes_l[h]
-                            h += 1
-                        finalize()
-                        bulk_copy_py(scols, p, p + rows)
-                        p += rows
-                        g = h
-                        continue
-                    # stitch group: feed_row finalizes any prior pending
-                    # term itself on the first row's term change
-                    for i in range(sz):
-                        feed_row(scols, p + i)
-                    p += sz
-                    g += 1
-            finalize()
+                t = t.take(pc.sort_indices(
+                    t, sort_keys=[("term", "ascending"),
+                                  ("first_doc", "ascending")]))
+                if carry is not None:
+                    t = pa.concat_tables([carry, t])
+                terms = np.asarray(t.column("term"))
+                gb, chunk, next_chunk = _plan_chunks(
+                    terms, np.asarray(t.column("count")), chunk_target,
+                    carry_chunk if terms[0] == carry_term else 0,
+                    final=not cursors)
+                if chunk.size:
+                    emit(t, gb, chunk)
+                carry_term, carry_chunk = terms[-1], next_chunk
+                carry = t.slice(int(gb[-1])) if gb[-1] < t.num_rows \
+                    else None
             flush(force=True)
             if state["writer"] is not None:
                 state["writer"].close()

@@ -1,4 +1,4 @@
-"""Posting-list codec: docID delta encoding + varbyte compression + block-max.
+"""Posting-list codec: docID delta encoding + varbyte compression.
 
 From-scratch per the north_rule ("delta-encoded, varbyte-compressed posting
 lists with per-block max-score metadata").  The reference delegates all
@@ -8,11 +8,10 @@ Layout of one encoded posting list (for one term, one doc-id shard):
 
     varbyte( delta(doc_ids) )  ++  varbyte( tfs )
 
-with docIDs strictly ascending.  Block-max metadata is computed per
-``BLOCK_SIZE`` postings: (last_doc_id, max_tf) per block, plus per-block
-byte offsets.  The query engine scores every posting and reads none of
-it; the columns stay in the on-disk layout until a format change drops
-them.
+with docIDs strictly ascending.  No per-block metadata is stored: the
+query engine decodes and scores every posting of a term, so block
+maxima, where a tight bound pays, come cheaper from the reader's cached
+per-term impacts in memory than from disk.
 
 All encode/decode paths are vectorized numpy (no per-posting Python loop):
 varbyte encode works by computing per-value byte lengths, a byte-position
@@ -23,10 +22,9 @@ segment-summing 7-bit groups.
 build's partition runs, compaction's rewritten runs, serving slices): it
 encodes a whole batch of term-sorted posting lists in one pass — one
 varbyte call per blob column, per-term blobs cut from the length prefix
-sums, block metadata for every block of every term from ``np.repeat`` /
-``np.maximum.reduceat``.  Blob columns are ``pa.binary()`` with int32
-offsets, so a batch whose blob bytes would pass ``MAX_BLOB_BUFFER_BYTES``
-is encoded in term-range chunks and returned as chunked arrays.
+sums.  Blob columns are ``pa.binary()`` with int32 offsets, so a batch
+whose blob bytes would pass ``MAX_BLOB_BUFFER_BYTES`` is encoded in
+term-range chunks and returned as chunked arrays.
 """
 
 from __future__ import annotations
@@ -35,8 +33,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 import pyarrow as pa
-
-BLOCK_SIZE = 128  # postings per block-max block
 
 # largest data buffer of one encoded blob chunk: pa.binary() offsets are
 # int32.  Patchable in tests to force multi-chunk encodes.
@@ -67,19 +63,6 @@ def _varbyte_write(v: np.ndarray, nbytes: np.ndarray) -> np.ndarray:
         out[starts[mask] + k] = vals.astype(np.uint8) | \
             (cont.astype(np.uint8) << 7)
     return out
-
-
-def varbyte_encode_one(v: int) -> bytes:
-    """Scalar varbyte encode (same LEB128 layout as varbyte_encode).
-    The k-way merge re-encodes exactly ONE delta per stitched run; the
-    vectorized path costs ~200us of numpy setup per call at size 1
-    (profiled r3) vs ~1us here."""
-    out = bytearray()
-    while v >= 0x80:
-        out.append((v & 0x7F) | 0x80)
-        v >>= 7
-    out.append(v)
-    return bytes(out)
 
 
 def varbyte_decode(buf: bytes, count: int) -> np.ndarray:
@@ -137,11 +120,6 @@ def _blob(values: np.ndarray, nbytes: np.ndarray, cum: np.ndarray,
          pa.py_buffer(_varbyte_write(values[lo:hi], nbytes[lo:hi]))])
 
 
-def _lists(offsets: np.ndarray, values: np.ndarray) -> pa.Array:
-    return pa.ListArray.from_arrays(pa.array(offsets.astype(np.int32)),
-                                    pa.array(values, pa.int64()))
-
-
 def range_cuts(bounds: List[np.ndarray], limit: int) -> List[int]:
     """Greedy cut points ``[0, ..., n]`` over n rows such that no range
     ``[cuts[i], cuts[i + 1])`` grows any of the ``bounds`` prefix sums
@@ -165,16 +143,12 @@ def encode_runs(offsets: np.ndarray, doc_ids: np.ndarray, tfs: np.ndarray,
     ``offsets`` (n_terms + 1 entries, ``offsets[0] == 0``,
     ``offsets[-1] == doc_ids.size``) bounds each term's postings in
     ``doc_ids`` (strictly ascending within a term) and ``tfs`` (>= 1).
-    A group may be empty: its row carries no postings and one block
-    offset 0 (a metadata-only serving row).  ``pos_deltas``, when given,
-    holds every posting's ``tf`` position deltas back to back.
+    A group may be empty: its row carries no postings (a metadata-only
+    serving row).  ``pos_deltas``, when given, holds every posting's
+    ``tf`` position deltas back to back.
 
     Returns one column per run-row field, in run-table order: count, cf,
-    first_doc, last_doc, doc_blob, tf_blob, block_last, block_max_tf,
-    block_counts, block_doc_off, block_tf_off[, pos_blob].  Block
-    metadata covers <= ``BLOCK_SIZE`` postings per block; the off lists
-    hold each block's start byte in the term's blob plus a trailing blob
-    length, so the merge shifts and concatenates them without decoding.
+    first_doc, last_doc, doc_blob, tf_blob[, pos_blob].
     """
     offsets = np.asarray(offsets, dtype=np.int64)
     doc_ids = np.asarray(doc_ids, dtype=np.int64)
@@ -213,22 +187,6 @@ def encode_runs(offsets: np.ndarray, doc_ids: np.ndarray, tfs: np.ndarray,
             "doc_blob": _blob(deltas, dlen, dcum, offs),
             "tf_blob": _blob(tfs_u, tlen, tcum, offs),
         }
-        # every block of every term at once: block j of a term covers
-        # postings [start + j*BLOCK_SIZE, min(start + (j+1)*BLOCK_SIZE, end))
-        nb = (counts + BLOCK_SIZE - 1) // BLOCK_SIZE
-        nb_off = _cum0(nb)
-        term_start = np.repeat(offs[:-1], nb)
-        bstart = term_start + BLOCK_SIZE * (
-            np.arange(nb_off[-1]) - np.repeat(nb_off[:-1], nb))
-        bend = np.minimum(bstart + BLOCK_SIZE, np.repeat(offs[1:], nb))
-        col["block_last"] = _lists(nb_off, doc_ids[bend - 1])
-        col["block_max_tf"] = _lists(nb_off, np.maximum.reduceat(
-            tfs[:offs[-1]], bstart) if bstart.size else bstart)
-        col["block_counts"] = _lists(nb_off, bend - bstart)
-        # byte-offset lists: 0, then each block's end within the term's blob
-        for name, cum in (("block_doc_off", dcum), ("block_tf_off", tcum)):
-            col[name] = _lists(nb_off + np.arange(nb_off.size), np.insert(
-                cum[bend] - cum[term_start], nb_off[:-1], 0))
         if pos_deltas is not None:
             col["pos_blob"] = _blob(pos, plen, pcum, pos_off[a:b + 1])
         chunks.append(col)
@@ -279,22 +237,12 @@ def decode_runs(rows) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
 
 
 def encode_postings(doc_ids: np.ndarray, tfs: np.ndarray
-                    ) -> Tuple[bytes, bytes, np.ndarray, np.ndarray,
-                               np.ndarray, np.ndarray]:
-    """Encode one posting list (``encode_runs`` over a single term).
-
-    Returns (doc_blob, tf_blob, block_last_doc, block_max_tf,
-    block_doc_off, block_tf_off).  The off arrays give the byte offset of
-    each block's first value inside the blob (one extra trailing entry =
-    blob length), enabling per-block decode without touching earlier
-    bytes: block b's deltas cumsum from base block_last[b-1].
-    ``doc_ids`` must be strictly ascending int64; ``tfs`` positive int64.
-    """
+                    ) -> Tuple[bytes, bytes]:
+    """Encode one posting list (``encode_runs`` over a single term):
+    (doc_blob, tf_blob).  ``doc_ids`` must be strictly ascending int64;
+    ``tfs`` positive int64."""
     cols = encode_runs([0, len(doc_ids)], doc_ids, tfs)
-    return (cols["doc_blob"][0].as_py(), cols["tf_blob"][0].as_py(),
-            *(cols[k][0].values.to_numpy() for k in (
-                "block_last", "block_max_tf", "block_doc_off",
-                "block_tf_off")))
+    return cols["doc_blob"][0].as_py(), cols["tf_blob"][0].as_py()
 
 
 def decode_postings(doc_blob: bytes, tf_blob: bytes, count: int) -> Tuple[np.ndarray, np.ndarray]:

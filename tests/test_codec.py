@@ -1,11 +1,10 @@
-"""Codec round-trip + block-max consistency (FIXTURES.md test 5)."""
+"""Codec round-trips (FIXTURES.md test 5)."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from jesterj_ray.index.codec import (BLOCK_SIZE, decode_postings,
-                                     encode_postings, varbyte_decode,
-                                     varbyte_encode)
+from jesterj_ray.index.codec import (decode_postings, encode_postings,
+                                     varbyte_decode, varbyte_encode)
 
 
 def test_varbyte_known_values():
@@ -26,40 +25,25 @@ def test_varbyte_roundtrip_property(vals):
 
 
 def test_postings_roundtrip_and_blockmax():
+    """One posting list round-trips through its two blobs (the layout
+    carries no block metadata any more; the name is kept for history)."""
     rng = np.random.default_rng(7)
     docs = np.unique(rng.integers(0, 10**12, size=5000)).astype(np.int64)
     tfs = rng.integers(1, 1000, size=docs.size).astype(np.int64)
-    doc_blob, tf_blob, block_last, block_max_tf, doc_off, tf_off = \
-        encode_postings(docs, tfs)
+    doc_blob, tf_blob = encode_postings(docs, tfs)
     d2, t2 = decode_postings(doc_blob, tf_blob, docs.size)
     assert np.array_equal(docs, d2)
     assert np.array_equal(tfs, t2)
-    # block-max metadata consistent with block contents
-    nblocks = (docs.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-    assert block_last.size == nblocks == block_max_tf.size
-    for b in range(nblocks):
-        lo, hi = b * BLOCK_SIZE, min(docs.size, (b + 1) * BLOCK_SIZE)
-        assert block_last[b] == docs[hi - 1]
-        assert block_max_tf[b] == tfs[lo:hi].max()
-    # per-block byte offsets let a block decode independently
-    assert doc_off.size == nblocks + 1 and doc_off[-1] == len(doc_blob)
-    assert tf_off[-1] == len(tf_blob)
-    from jesterj_ray.index.codec import varbyte_decode
-    for b in (0, nblocks // 2, nblocks - 1):
-        lo, hi = b * BLOCK_SIZE, min(docs.size, (b + 1) * BLOCK_SIZE)
-        deltas = varbyte_decode(doc_blob[doc_off[b]:doc_off[b + 1]], hi - lo)
-        base = int(block_last[b - 1]) if b > 0 else 0
-        assert np.array_equal(np.cumsum(deltas.astype(np.int64)) + base,
-                              docs[lo:hi])
-        assert np.array_equal(
-            varbyte_decode(tf_blob[tf_off[b]:tf_off[b + 1]], hi - lo)
-            .astype(np.int64), tfs[lo:hi])
+    # the doc blob is exactly the varbyte of the deltas (first absolute)
+    assert doc_blob == varbyte_encode(
+        np.diff(docs, prepend=0).astype(np.uint64))
+    assert tf_blob == varbyte_encode(tfs.astype(np.uint64))
 
 
 def test_delta_compression_is_compact():
     # dense ascending docIDs must take ~1 byte per posting after delta
     docs = np.arange(10000, dtype=np.int64) + 5
     tfs = np.ones(10000, dtype=np.int64)
-    doc_blob, tf_blob, *_ = encode_postings(docs, tfs)
+    doc_blob, tf_blob = encode_postings(docs, tfs)
     assert len(doc_blob) < 10100
     assert len(tf_blob) == 10000

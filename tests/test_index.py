@@ -130,7 +130,9 @@ def test_deterministic_rebuild(small_corpus, tmp_path):
 def test_build_manifest_is_location_independent(small_corpus, tmp_path):
     """The same input built into two dirs whose paths differ in length
     writes byte-identical build manifests, and every file a manifest
-    lists exists under its own index dir."""
+    lists exists under its own index dir.  Merge manifests name their
+    runs and segments relative to the index dir too, and agree up to
+    the run files' mtimes."""
     import glob
     import json
     import os
@@ -151,8 +153,47 @@ def test_build_manifest_is_location_independent(small_corpus, tmp_path):
             for rel in json.loads(blob)["output_files"]:
                 assert not os.path.isabs(rel), rel
                 assert os.path.isfile(os.path.join(out, rel)), rel
-        manifests.append(blobs)
+        merged = {}
+        for p in glob.glob(os.path.join(out, "manifest", "merge",
+                                        "part-*.json")):
+            rec = json.load(open(p))
+            for rel in list(rec["output_files"]) + list(rec["runs_merged"]):
+                assert not os.path.isabs(rel), rel
+                assert os.path.isfile(os.path.join(out, rel)), rel
+            # run files of the two builds differ only in their mtimes
+            rec["runs_merged"] = {k: v.split(":")[0]
+                                  for k, v in rec["runs_merged"].items()}
+            del rec["input_fingerprint"]
+            merged[os.path.basename(p)] = rec
+        assert merged
+        manifests.append((blobs, merged))
     assert manifests[0] == manifests[1]
+
+
+def test_moved_index_does_not_remerge(small_corpus, tmp_path):
+    """Renaming a built index dir and building again into its new path
+    resumes without rewriting a single segment file: the merge's run-set
+    fingerprints do not depend on where the index sits."""
+    import glob
+    import os
+    from jesterj_ray.index.build_rows import build_index_rows
+    src = str(tmp_path / "c.parquet")
+    pq.write_table(small_corpus, src, row_group_size=64)
+    kw = dict(text_col="content", tokenizer="code", docs_per_partition=64,
+              num_shards=4)
+    a = str(tmp_path / "idx")
+    build_index_rows(src, a, **kw)
+    b = str(tmp_path / "idx-moved-elsewhere")
+    os.rename(a, b)
+
+    def seg_mtimes():
+        return {os.path.basename(p): os.stat(p).st_mtime_ns for p in
+                glob.glob(os.path.join(b, "segments", "*.parquet"))}
+
+    before = seg_mtimes()
+    assert len(before) == 4
+    build_index_rows(src, b, **kw)
+    assert seg_mtimes() == before
 
 
 def test_empty_and_comment_docs_counted(built, oracle):

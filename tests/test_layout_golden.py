@@ -2,8 +2,8 @@
 
 A small seeded ``build_index_rows`` index is hashed table by table (Arrow
 IPC bytes of every run and segment table, read back from parquet).  Any
-change to the run encoder, the block metadata or the merge stitching
-changes the digest, so layout drift fails here instead of in a reader.
+change to the run encoder or the merge stitching changes the digest, so
+layout drift fails here instead of in a reader.
 Table contents are hashed, not parquet file bytes: writer metadata may
 vary between pyarrow builds while the contents must not.
 """
@@ -20,14 +20,15 @@ import pytest
 from jesterj_ray.index.build_rows import build_index_rows
 
 GOLDEN = {
-    False: "9e7f163217284d0e3caee213b08781891d7a4ef265a45ff2494f116daa017f3f",
-    True: "f01b5d4f2256005b3644aebc209d59e90c0c3eea9054ae3e657984549f12010d",
+    False: "d2e631644f991ee09a5afd2298746c1e9dd0c04de7b5d9c204e841a716e20c32",
+    True: "28870b8bffdd22bcdfcdefc9c9cb726cac7419106c0a3879f8af490f70a1cafd",
 }
 
 
 def golden_corpus(n=600, seed=5):
     """Zipf-ish vocabulary: the head terms reach df > 256 per partition
-    (multi-block runs), the tail stays at df 1-2."""
+    (long runs, stitched across both partitions), the tail stays at df
+    1-2."""
     rng = np.random.default_rng(seed)
     vocab = np.array([f"t{i}" for i in range(400)])
     w = 1.0 / np.arange(1, vocab.size + 1)

@@ -3,9 +3,9 @@ kernels hold for arbitrary inputs, not just the fixtures."""
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
-from jesterj_ray.index.codec import (BLOCK_SIZE, decode_postings,
-                                     encode_postings, varbyte_decode,
-                                     varbyte_encode, varbyte_lengths)
+from jesterj_ray.index.codec import (decode_postings, encode_postings,
+                                     varbyte_decode, varbyte_encode,
+                                     varbyte_lengths)
 
 
 @settings(max_examples=60, deadline=None)
@@ -26,23 +26,14 @@ def test_postings_roundtrip_and_blocks(pairs):
     gaps = np.array([p[0] + 1 for p in pairs], dtype=np.int64)
     docs = np.cumsum(gaps)
     tfs = np.array([p[1] for p in pairs], dtype=np.int64)
-    doc_blob, tf_blob, bl, bm, doff, toff = encode_postings(docs, tfs)
+    doc_blob, tf_blob = encode_postings(docs, tfs)
     d2, t2 = decode_postings(doc_blob, tf_blob, docs.size)
     assert np.array_equal(d2, docs) and np.array_equal(t2, tfs)
-    # block metadata invariants
-    nb = (docs.size + BLOCK_SIZE - 1) // BLOCK_SIZE
-    assert bl.size == bm.size == nb
-    assert bl[-1] == docs[-1]
-    assert int(doff[-1]) == len(doc_blob) and int(toff[-1]) == len(tf_blob)
-    for b in range(nb):
-        lo, hi = b * BLOCK_SIZE, min(docs.size, (b + 1) * BLOCK_SIZE)
-        assert bl[b] == docs[hi - 1]
-        assert bm[b] == tfs[lo:hi].max()
-        # per-block byte slice decodes exactly that block's values
-        deltas = varbyte_decode(doc_blob[doff[b]:doff[b + 1]], hi - lo)
-        base = docs[lo - 1] if lo else 0
-        assert np.array_equal(np.cumsum(deltas.astype(np.int64)) + base,
-                              docs[lo:hi])
+    # the blobs are the plain varbyte streams: no block metadata rides
+    # along (the name is kept for history)
+    assert doc_blob == varbyte_encode(np.diff(docs, prepend=0)
+                                      .astype(np.uint64))
+    assert len(tf_blob) == int(varbyte_lengths(tfs.astype(np.uint64)).sum())
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,9 +91,7 @@ def reference_run_table(toks_per_doc, doc_ids, pid, positions):
                       count=n_g)
     flat = list(chain.from_iterable(toks_per_doc))
     rows = {"term": [], "count": [], "cf": [], "first_doc": [], "last_doc": [],
-            "doc_blob": [], "tf_blob": [], "pos_blob": [],
-            "block_last": [], "block_max_tf": [], "block_counts": [],
-            "block_doc_off": [], "block_tf_off": []}
+            "doc_blob": [], "tf_blob": [], "pos_blob": []}
     if flat:
         codes, uniques = pd.factorize(np.asarray(flat, dtype=object),
                                       sort=False)
@@ -139,20 +128,6 @@ def reference_run_table(toks_per_doc, doc_ids, pid, positions):
             rows["last_doc"].append(int(d[-1]))
             rows["doc_blob"].append(varbyte_encode(deltas.astype(np.uint64)))
             rows["tf_blob"].append(varbyte_encode(t.astype(np.uint64)))
-            n = d.size
-            nb = (n + BLOCK_SIZE - 1) // BLOCK_SIZE
-            bounds = np.minimum(np.arange(1, nb + 1) * BLOCK_SIZE, n)
-            rows["block_last"].append(d[bounds - 1].tolist())
-            rows["block_max_tf"].append(np.maximum.reduceat(
-                t, np.arange(0, n, BLOCK_SIZE)).tolist())
-            obounds = np.concatenate([[0], bounds])
-            rows["block_counts"].append(np.diff(obounds).tolist())
-            dlen = np.concatenate([[0], np.cumsum(
-                varbyte_lengths(deltas.astype(np.uint64)))])
-            tlen = np.concatenate([[0], np.cumsum(
-                varbyte_lengths(t.astype(np.uint64)))])
-            rows["block_doc_off"].append(dlen[obounds].tolist())
-            rows["block_tf_off"].append(tlen[obounds].tolist())
             if positions:
                 lo = pair_ends[s] - tfs_arr[s]
                 hi = pair_ends[e - 1]
@@ -167,11 +142,6 @@ def reference_run_table(toks_per_doc, doc_ids, pid, positions):
         "last_doc": pa.array(rows["last_doc"], pa.int64()),
         "doc_blob": pa.array(rows["doc_blob"], pa.binary()),
         "tf_blob": pa.array(rows["tf_blob"], pa.binary()),
-        "block_last": pa.array(rows["block_last"], pa.list_(pa.int64())),
-        "block_max_tf": pa.array(rows["block_max_tf"], pa.list_(pa.int64())),
-        "block_counts": pa.array(rows["block_counts"], pa.list_(pa.int64())),
-        "block_doc_off": pa.array(rows["block_doc_off"], pa.list_(pa.int64())),
-        "block_tf_off": pa.array(rows["block_tf_off"], pa.list_(pa.int64())),
     }
     if positions:
         run_cols["pos_blob"] = pa.array(rows["pos_blob"], pa.binary())
@@ -188,7 +158,7 @@ PIDS = [0, 7, 1 << 20, (1 << 31) - 1]
 
 def random_partition(n_docs, vocab_size, max_len, seed):
     """Token lists with a Zipf-ish term mix: with enough docs the head
-    terms reach df > 128 / > 256 (multi-block runs); tail terms land in
+    terms reach df > 128 / > 256 (long runs); tail terms land in
     docs far apart (multi-byte varbyte deltas)."""
     rng = np.random.default_rng(seed)
     vocab = VOCAB[rng.permutation(VOCAB.size)[:vocab_size]]

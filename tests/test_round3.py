@@ -10,6 +10,7 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from jesterj_ray.index.build import COMPACT_AFTER_GENS
 from jesterj_ray.index.build_rows import build_index_rows, delta_reindex
@@ -588,44 +589,146 @@ def test_delta_pid_reuse_after_compaction_drop(tmp_path):
     assert score_map(out, qs) == score_map(out2, qs)
 
 
-def test_vectorized_stitch_matches_python_stitcher(tmp_path, monkeypatch):
-    """_stitch_groups_vec (the numpy/Arrow-buffer stitcher for contiguous
-    spans of complete multi-run terms) produces BYTE-IDENTICAL segment
-    files to the python emit() path, with positions on and a tiny
-    chunk_target so chunked hot terms interleave with vec spans."""
-    import shutil
-    from jesterj_ray.index import build as bmod
-    rng = np.random.default_rng(5)
-    n = 1200
-    # small common vocab => high df => most terms span many partitions
-    # (multi-run stitch groups); rare tail exercises single/vec interleave
-    vocab = [f"c{i}" for i in range(40)] + [f"r{i}" for i in range(400)]
-    texts = ["c0 " + " ".join(rng.choice(vocab, size=12)) for _ in range(n)]
-    df = pd.DataFrame({"rid": np.arange(n, dtype=np.int64), "text": texts})
-    src = str(tmp_path / "c.parquet")
-    write_docs(df, src)
-    out = str(tmp_path / "idx")
-    build_index_rows(src, out, text_col="text", key_col="rid",
-                     tokenizer="simple", docs_per_partition=100,
-                     num_shards=2, positions=True)
+def _write_runs(root, pid, toks, positions, old_format=False):
+    """One partition's run file for shard 0, written by the build's run
+    encoder.  ``old_format`` appends the five block_* list columns the
+    layout used to carry (one-block metadata per row, in the old column
+    order: before pos_blob) — the merge must never read them."""
+    from jesterj_ray.index.build import DOC_BITS, partition_runs
+    dls = np.fromiter((len(t) for t in toks), dtype=np.int64,
+                      count=len(toks))
+    ids = (np.int64(pid) << DOC_BITS) | np.arange(len(toks), dtype=np.int64)
+    t = partition_runs(toks, dls, ids, pid, positions)
+    if old_format:
+        one = {"block_last": t["last_doc"], "block_max_tf": t["cf"],
+               "block_counts": t["count"]}
+        one |= {f"block_{c}_off": pa.compute.binary_length(t[f"{c}_blob"])
+                for c in ("doc", "tf")}
+        cols = {n: t[n] for n in t.schema.names if n != "pos_blob"}
+        cols |= {n: pa.array([[0, v] if n.endswith("_off") else [v]
+                              for v in vals.to_pylist()],
+                             pa.list_(pa.int64()))
+                 for n, vals in one.items()}
+        if positions:
+            cols["pos_blob"] = t["pos_blob"]
+        t = pa.table(cols)
+    d = os.path.join(root, "runs", "shard-0000")
+    os.makedirs(d, exist_ok=True)
+    path = os.path.join(d, f"part-{pid:05d}.parquet")
+    pq.write_table(t, path, row_group_size=4096)
+    return path
 
-    def local_merge(min_rows):
-        shutil.rmtree(os.path.join(out, "manifest", "merge"),
-                      ignore_errors=True)
-        shutil.rmtree(os.path.join(out, "segments"), ignore_errors=True)
-        monkeypatch.setattr(bmod, "VEC_STITCH_MIN_ROWS", min_rows)
-        w = bmod.make_shard_writer(out, chunk_target=256)
-        w(pd.DataFrame({"shard": [0, 1]}))
-        return {os.path.basename(p): pq.read_table(p) for p in sorted(
-            glob.glob(os.path.join(out, "segments", "*.parquet")))}
 
-    vec = local_merge(2)          # vec path takes every eligible span
-    py = local_merge(1 << 30)     # vec path disabled: pure python emit()
-    assert set(vec) == set(py) and vec
-    for name in py:
-        assert vec[name].equals(py[name]), name
-    # sanity: the hot term 'c0' (df=1200 > chunk_target) was chunked and
-    # multi-run terms exist, so both paths actually ran
-    seg = pa.concat_tables(py.values())
-    c0 = seg.filter(pa.compute.equal(seg["term"], "c0"))
-    assert c0.num_rows > 1
+def fresh_encode(run_paths, chunk_target, positions):
+    """The segment table a merge of ``run_paths`` must write, from its
+    definition: the runs' postings decoded and concatenated in (term,
+    first_doc) order, cut into (term, chunk) rows by the greedy rule
+    (a chunk closes at the run that brings it to ``chunk_target``
+    postings or more), every row encoded afresh by ``encode_runs``."""
+    from jesterj_ray.index.build import _segment_schema
+    from jesterj_ray.index.codec import _cum0, decode_runs, encode_runs
+    names = ["term", "count", "first_doc", "doc_blob", "tf_blob"] + \
+        (["pos_blob"] if positions else [])
+    runs = pa.concat_tables([pq.read_table(p, columns=names)
+                             for p in run_paths]) \
+        .sort_by([("term", "ascending"), ("first_doc", "ascending")])
+    rows = []  # [term, chunk, postings]
+    for term, count in zip(runs["term"].to_pylist(),
+                           runs["count"].to_pylist()):
+        if not rows or rows[-1][0] != term:
+            rows.append([term, 0, 0])
+        elif rows[-1][2] >= chunk_target:
+            rows.append([term, rows[-1][1] + 1, 0])
+        rows[-1][2] += count
+    enc = encode_runs(_cum0([r[2] for r in rows]), *decode_runs(runs))
+    return pa.table({"term": [r[0] for r in rows],
+                     "chunk": [r[1] for r in rows],
+                     "df": enc["count"]} | enc,
+                    schema=_segment_schema(positions))
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_parts=st.integers(1, 5), seed=st.integers(0, 2**32 - 1),
+       positions=st.booleans(), chunk_target=st.integers(2, 300),
+       read_batch=st.sampled_from([None, 2]),
+       round_rows=st.sampled_from([None, 1, 8]),
+       flush_terms=st.sampled_from([None, 1, 3]),
+       delta=st.booleans(), blob_limit=st.sampled_from([None, 64]))
+@example(n_parts=4, seed=1, positions=True, chunk_target=2, read_batch=2,
+         round_rows=1, flush_terms=1, delta=True, blob_limit=64)
+@example(n_parts=5, seed=2, positions=False, chunk_target=17, read_batch=2,
+         round_rows=1, flush_terms=None, delta=True, blob_limit=None)
+@example(n_parts=3, seed=3, positions=True, chunk_target=300,
+         read_batch=None, round_rows=8, flush_terms=3, delta=False,
+         blob_limit=None)
+def test_merge_equals_fresh_encode(n_parts, seed, positions, chunk_target,
+                                   read_batch, round_rows, flush_terms,
+                                   delta, blob_limit):
+    """Every segment row the merge writes equals ``encode_runs`` over
+    that (term, chunk)'s concatenated postings, byte for byte — for the
+    base segment and for a delta generation (which holds only the new
+    runs), across chunk sizes, 2-row read slabs, 1- and 8-row rounds
+    (hot terms carried across rounds with their next chunk id) and a
+    blob-buffer limit small enough to split every stitch call."""
+    import tempfile
+    from unittest import mock
+    from jesterj_ray.index import codec
+    from jesterj_ray.index.build import DELTA_PID_BASE, make_shard_writer
+    rng = np.random.default_rng(seed)
+    # three hot terms (df reaches chunk_target) over a Zipf-ish tail
+    vocab = np.array([f"h{i}" for i in range(3)] +
+                     [f"t{i}" for i in range(60)])
+    w = 1.0 / np.arange(1, vocab.size + 1)
+    w /= w.sum()
+
+    def docs():
+        return [list(rng.choice(vocab, size=int(L), p=w))
+                for L in rng.integers(1, 25, size=rng.integers(1, 40))]
+
+    limit = blob_limit or codec.MAX_BLOB_BUFFER_BYTES
+    with tempfile.TemporaryDirectory() as root, \
+            mock.patch.object(codec, "MAX_BLOB_BUFFER_BYTES", limit):
+        base = [_write_runs(root, pid, docs(), positions)
+                for pid in range(n_parts)]
+        merge = make_shard_writer(root, chunk_target=chunk_target,
+                                  flush_terms=flush_terms,
+                                  read_batch=read_batch,
+                                  round_rows=round_rows)
+        merge(pd.DataFrame({"shard": [0]}))
+        seg_dir = os.path.join(root, "segments")
+        got = pq.read_table(os.path.join(seg_dir, "shard-0000.parquet"))
+        assert got.equals(fresh_encode(base, chunk_target, positions))
+        if delta:
+            new = [_write_runs(root, DELTA_PID_BASE + i, docs(), positions)
+                   for i in range(2)]
+            merge(pd.DataFrame({"shard": [0]}))
+            gen = pq.read_table(os.path.join(seg_dir,
+                                             "shard-0000-gen-001.parquet"))
+            assert gen.equals(fresh_encode(new, chunk_target, positions))
+
+
+def test_old_format_runs_merge_like_new(tmp_path):
+    """Run files written before the block_* columns left the layout still
+    merge: a shard where some run files carry the five old columns and
+    others do not merges to the same segment table as the all-new set."""
+    from jesterj_ray.index.build import make_shard_writer
+    rng = np.random.default_rng(11)
+    vocab = [f"h{i}" for i in range(4)] + [f"t{i}" for i in range(80)]
+    parts = [[list(rng.choice(vocab, size=int(L)))
+              for L in rng.integers(1, 30, size=60)] for _ in range(5)]
+    segs = {}
+    for mode in ("new", "mixed"):
+        root = str(tmp_path / mode)
+        for pid, toks in enumerate(parts):
+            _write_runs(root, pid, toks, True,
+                        old_format=mode == "mixed" and pid % 2 == 0)
+        make_shard_writer(root, chunk_target=20, read_batch=2,
+                          round_rows=8)(pd.DataFrame({"shard": [0]}))
+        segs[mode] = pq.read_table(
+            os.path.join(root, "segments", "shard-0000.parquet"))
+    old = pq.ParquetFile(str(tmp_path / "mixed" / "runs" / "shard-0000" /
+                             "part-00000.parquet")).schema_arrow.names
+    assert "block_counts" in old
+    assert segs["mixed"].equals(segs["new"])
+    assert segs["new"].filter(pa.compute.equal(
+        segs["new"]["term"], "h0"))["chunk"].to_pylist()[-1] > 0
