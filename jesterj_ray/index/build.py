@@ -22,8 +22,11 @@ optional position blob.  ``partition_runs`` builds a partition's whole
 run table in one vectorized pass: factorize + ``np.unique`` count the
 (term, doc) pairs, and ``codec.encode_runs`` — the one writer of this
 row layout, shared with compaction and serving repartition — encodes
-every term at once.  The merge (``merge_runs``) is then one task per
-term shard reading only its own files — no Ray shuffle — and has ONE
+every term at once.  The merge (``merge_runs``) is planned per term
+shard in the driver from the merge manifest and ``os.stat`` alone:
+up-to-date shards are skipped, a one-delta-run append is written in the
+driver, and only the other stale shards go to a Ray job, one task per
+stale shard reading only its own files — no Ray shuffle.  It has ONE
 stitcher (``_stitch_groups_vec``): each round's sorted rows are planned
 into (term, chunk) groups and stitched byte-wise in one vectorized call —
 only each run's first doc value is re-encoded as a delta against the
@@ -530,12 +533,74 @@ class _RunCursor:
         return True
 
 
+def _plan_shard(out_dir: str, shard: int) -> dict:
+    """The merge one shard needs, from its merge-manifest row and
+    ``os.stat`` of its run files only (no run file is opened).  ``mode``
+    is 'current' (run set unchanged: nothing to do), 'append' (only new
+    delta runs: ``files`` go to generation segment ``generation``) or
+    'full' (every run re-merges into a new base, generation 0)."""
+    prior = Manifest(out_dir, "merge").read(shard) or {}
+    shard_rel = os.path.join("runs", f"shard-{shard:04d}")
+    shard_dir = os.path.join(out_dir, shard_rel)
+    all_files = sorted(os.path.join(shard_rel, f)
+                       for f in os.listdir(shard_dir)
+                       if f.endswith(".parquet")) \
+        if os.path.isdir(shard_dir) else []
+    # PER-SHARD, PER-FILE fingerprints (size+mtime_ns, keyed by the
+    # path relative to the index dir, so a moved index still skips):
+    # unchanged shards skip entirely; a shard whose run set only GREW
+    # (per-doc delta) merges just the NEW runs into an append-only
+    # GENERATION segment — delta merge cost is O(delta), not
+    # O(shard).  Any changed/removed run forces a full re-merge
+    # (compaction).
+    cur_fp = {}
+    for p in all_files:
+        st = os.stat(os.path.join(out_dir, p))
+        cur_fp[p] = f"{st.st_size}:{st.st_mtime_ns}"
+    shard_fp = hashlib.sha256(
+        "|".join(f"{p}:{v}" for p, v in cur_fp.items()).encode()
+    ).hexdigest()
+    plan = {"shard": shard, "prior": prior, "runs_merged": cur_fp,
+            "input_fingerprint": shard_fp}
+    prev_fp = prior.get("runs_merged") or {}
+    prior_ok = prior.get("status") == STATUS_INDEXED
+    if prior_ok and prior.get("input_fingerprint") == shard_fp:
+        return plan | {"mode": "current"}
+
+    def _pid_of(p: str) -> int:
+        return int(os.path.basename(p).split("-")[1].split(".")[0])
+
+    new_files = [p for p in all_files if p not in prev_fp]
+    prev_max_pid = max((_pid_of(p) for p in prev_fp), default=-1)
+    generation = int(prior.get("generations", 1))
+    # append-only is doc-order-safe ONLY for delta runs: their pids
+    # strictly exceed everything already merged, so a generation's
+    # postings follow the previous generations' in doc order.  A
+    # resumed/rebuilt BASE partition interleaves doc ranges and must
+    # full-re-merge.
+    if prior_ok and prev_fp and \
+            all(cur_fp.get(p) == v for p, v in prev_fp.items()) and \
+            os.path.exists(os.path.join(out_dir, "segments",
+                                        f"shard-{shard:04d}.parquet")) and \
+            new_files and \
+            all(_pid_of(p) >= DELTA_PID_BASE and _pid_of(p) > prev_max_pid
+                for p in new_files) and \
+            generation <= COMPACT_AFTER_GENS:
+        return plan | {"mode": "append", "files": new_files,
+                       "generation": generation}
+    return plan | {"mode": "full", "files": all_files, "generation": 0}
+
+
 def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
                       flush_terms: int = None, read_batch: int = None,
                       round_rows: int = None):
     """Stage 2 fn: merge one shard's runs (already on disk, one file per
     partition under runs/shard-<s>/) into a segment file.  No shuffle: the
     stage-1 tasks partitioned the runs by term shard at write time.
+    Returns the ``map_batches`` fn over a ``shard`` column, which plans
+    (``_plan_shard``) and writes each shard; its ``write(plan)`` carries
+    out one plan in the calling process (``merge_runs`` writes one-delta-run
+    appends in the driver with it).
 
     STREAMING k-way merge: runs are term-sorted at write time, so rounds
     over per-file slab cursors yield rows in global (term, first_doc)
@@ -557,76 +622,24 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
     round_rows = round_rows or MERGE_ROUND_ROWS
 
     def shard_writer(batch: pd.DataFrame) -> pd.DataFrame:
-        out_rows = []
-        for shard in batch["shard"].astype(int):
-            out_rows.append(_merge_one_shard(int(shard)))
-        return pd.DataFrame(out_rows)
+        return pd.DataFrame([write(_plan_shard(out_dir, int(shard)))
+                             for shard in batch["shard"].astype(int)])
 
-    def _merge_one_shard(shard: int) -> dict:
+    def write(plan: dict) -> dict:
         import glob as _glob
         import pyarrow.parquet as pq
-        man = Manifest(out_dir, "merge")
-        prior = man.read(shard)
-        shard_rel = os.path.join("runs", f"shard-{shard:04d}")
-        shard_dir = os.path.join(out_dir, shard_rel)
-        all_files = sorted(os.path.join(shard_rel, f)
-                           for f in os.listdir(shard_dir)
-                           if f.endswith(".parquet")) \
-            if os.path.isdir(shard_dir) else []
-        # PER-SHARD, PER-FILE fingerprints (size+mtime_ns, keyed by the
-        # path relative to the index dir, so a moved index still skips):
-        # unchanged shards skip entirely; a shard whose run set only GREW
-        # (per-doc delta) merges just the NEW runs into an append-only
-        # GENERATION segment — delta merge cost is O(delta), not
-        # O(shard).  Any changed/removed run forces a full re-merge
-        # (compaction).
-        cur_fp = {}
-        for p in all_files:
-            st = os.stat(os.path.join(out_dir, p))
-            cur_fp[p] = f"{st.st_size}:{st.st_mtime_ns}"
-        shard_fp = hashlib.sha256(
-            "|".join(f"{p}:{v}" for p, v in cur_fp.items()).encode()
-        ).hexdigest()
-        prev_fp = (prior or {}).get("runs_merged") or {}
-        prior_ok = bool(prior) and prior.get("status") == STATUS_INDEXED
-        if prior_ok and prior.get("input_fingerprint") == shard_fp:
+        shard, prior = plan["shard"], plan["prior"]
+        if plan["mode"] == "current":
             return {"shard": shard, "terms": prior["terms_emitted"],
                     "bytes_written": prior["bytes_written"]}
+        append_only = plan["mode"] == "append"
+        generation = plan["generation"]
         seg_dir = os.path.join(out_dir, "segments")
         os.makedirs(seg_dir, exist_ok=True)
-        base_path = os.path.join(seg_dir, f"shard-{shard:04d}.parquet")
         gen_glob = os.path.join(seg_dir, f"shard-{shard:04d}-gen-*.parquet")
-        def _pid_of(p: str) -> int:
-            return int(os.path.basename(p).split("-")[1].split(".")[0])
-
-        new_files = [p for p in all_files if p not in prev_fp]
-        prev_max_pid = max((_pid_of(p) for p in prev_fp), default=-1)
-        # append-only is doc-order-safe ONLY for delta runs: their pids
-        # strictly exceed everything already merged, so a generation's
-        # postings follow the previous generations' in doc order.  A
-        # resumed/rebuilt BASE partition interleaves doc ranges and must
-        # full-re-merge.
-        append_only = prior_ok and prev_fp and \
-            all(cur_fp.get(p) == v for p, v in prev_fp.items()) and \
-            os.path.exists(base_path) and new_files and \
-            all(_pid_of(p) >= DELTA_PID_BASE and _pid_of(p) > prev_max_pid
-                for p in new_files) and \
-            int(prior.get("generations", 1)) <= COMPACT_AFTER_GENS
-        if append_only:
-            files = new_files
-            generation = int(prior.get("generations", 1))
-            path = os.path.join(
-                seg_dir, f"shard-{shard:04d}-gen-{generation:03d}.parquet")
-        else:
-            files = all_files
-            generation = 0
-            path = base_path
-            # stale generations are unlinked only AFTER the replacement
-            # base is atomically installed (below) — a crash mid-merge
-            # must leave the committed base+gen artifact set intact
-            # (ADVICE r02: never destroy committed artifacts while the
-            # replacement is still in flight)
-        files = [os.path.join(out_dir, p) for p in files]
+        path = os.path.join(seg_dir, f"shard-{shard:04d}" + (
+            f"-gen-{generation:03d}" if append_only else "") + ".parquet")
+        files = [os.path.join(out_dir, p) for p in plan["files"]]
         has_pos = bool(files) and "pos_blob" in pq.ParquetFile(
             files[0]).schema_arrow.names
         schema = _segment_schema(has_pos)
@@ -752,18 +765,20 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
             (int(prior.get("terms_emitted", 0)) if append_only else 0)
         bytes_total = nbytes + \
             (int(prior.get("bytes_written", 0)) if append_only else 0)
-        man.commit(shard, status=STATUS_INDEXED,
-                   input_fingerprint=shard_fp,
-                   terms_emitted=terms_total,
-                   bytes_written=bytes_total,
-                   output_files=(prior.get("output_files", [])
-                                 if append_only else []) +
-                   [os.path.relpath(path, out_dir)],
-                   extra={"runs_merged": cur_fp,
-                          "generations": generation + 1})
+        Manifest(out_dir, "merge").commit(
+            shard, status=STATUS_INDEXED,
+            input_fingerprint=plan["input_fingerprint"],
+            terms_emitted=terms_total,
+            bytes_written=bytes_total,
+            output_files=(prior.get("output_files", [])
+                          if append_only else []) +
+            [os.path.relpath(path, out_dir)],
+            extra={"runs_merged": plan["runs_merged"],
+                   "generations": generation + 1})
         return {"shard": shard, "terms": terms_total,
                 "bytes_written": bytes_total}
 
+    shard_writer.write = write
     return shard_writer
 
 
@@ -771,21 +786,34 @@ def merge_runs(out_dir: str, num_shards: int,
                chunk_target: int = 1 << 20,
                flush_terms: int = None, read_batch: int = None,
                round_rows: int = None) -> None:
-    """Stage 2: merge per-partition runs into term-sharded segments — one
-    task per shard, each reading only its pre-partitioned run files (no
-    shuffle).  Invalidation is PER SHARD: each merge-manifest row stores a
-    fingerprint of exactly its run set (path+size+mtime_ns — same-size
-    in-place rewrites still invalidate, ADVICE r01), so a resume or delta
-    that touched few term shards re-merges only those."""
+    """Stage 2: merge per-partition runs into term-sharded segments.  The
+    driver plans every shard (``_plan_shard``) and skips up-to-date ones,
+    so a no-op resume starts no Ray job.  An append of exactly ONE delta
+    run (what a one-partition delta writes) is written in the driver: a
+    few kB, and driver memory stays bounded by one partition, like the
+    inline differ's.  Every other stale shard goes to one Ray Data job,
+    one task per stale shard reading only its pre-partitioned run files
+    (no shuffle).  Invalidation is PER SHARD: each merge-manifest row
+    stores a fingerprint of exactly its run set (path+size+mtime_ns —
+    same-size in-place rewrites still invalidate, ADVICE r01), so a resume
+    or delta that touched few term shards re-merges only those."""
     runs_dir = os.path.join(out_dir, "runs")
     if not os.path.isdir(runs_dir):
         return
     writer = make_shard_writer(out_dir, chunk_target,
                                flush_terms, read_batch, round_rows)
-    shards = ray.data.from_items([{"shard": s} for s in range(num_shards)],
-                                 override_num_blocks=num_shards)
-    shards.map_batches(writer, batch_format="pandas",
-                       batch_size=1).materialize()
+    stale = []
+    for shard in range(num_shards):
+        plan = _plan_shard(out_dir, shard)
+        if plan["mode"] == "append" and len(plan["files"]) == 1:
+            writer.write(plan)
+        elif plan["mode"] != "current":
+            stale.append({"shard": shard})
+    if stale:
+        # each task re-plans its shard: the same manifest row and stats
+        ray.data.from_items(stale, override_num_blocks=len(stale)) \
+            .map_batches(writer, batch_format="pandas",
+                         batch_size=1).materialize()
 
 
 def term_shard(terms: pa.ChunkedArray, num_shards: int) -> np.ndarray:

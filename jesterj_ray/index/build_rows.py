@@ -18,7 +18,8 @@ This module is the scale path:
 - resume filters the partition list BEFORE reading: committed partitions
   cost nothing, not even input IO;
 - stage 2 (tiny): merge runs into term-sharded segments — the only
-  exchange, over per-(term, partition) aggregates, reused from ``build``.
+  exchange, over per-(term, partition) aggregates, reused from ``build``;
+  planned in the driver, so a no-op resume starts no Ray job.
 
 docID = pid << 32 | row_in_partition (file/row order), so docIDs ascend
 with input order and are identical at any num_cpus.
@@ -341,7 +342,9 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
     the driver — the driver holds only catalog/tombstone bookkeeping.
     The merge restitches runs (O(runs+bytes), no tokenize) and stats gain
     ``exact_stats`` so readers score alive docs exactly like a full
-    rebuild (n/avgdl here, df at query time).
+    rebuild (n/avgdl here, df at query time).  A one-partition delta (the
+    watch-loop case) diffs and merges in the driver, and an idle cycle
+    merges nothing: neither starts a Ray job unless a shard compacts.
 
     Returns {n_docs (alive), reindexed_docs, tombstoned, delta_partitions}.
     """
@@ -465,7 +468,9 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
             # single changed partition (the watch-loop common case): run
             # the SAME differ inline — driver memory stays bounded by ONE
             # partition (never O(changed corpus)), and the ~0.3 s Ray
-            # task round trip disappears from the 1-doc delta latency.
+            # task round trip disappears from the 1-doc delta latency;
+            # its one delta run per shard then merges in the driver too
+            # (merge_runs), so the cycle starts no Ray job.
             # The differ sets pa.set_cpu_count(1) (worker hygiene);
             # restore the driver's Arrow pool afterwards.
             _prev_cpu = pa.cpu_count()

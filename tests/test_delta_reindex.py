@@ -283,3 +283,192 @@ def test_generations_accumulate_and_compact(tmp_path):
                      num_shards=4, positions=True)
     assert not glob.glob(f"{out2}/segments/shard-*-gen-*.parquet")
     assert score_map(out) == score_map(out2)
+
+
+DELTA_KW = dict(text_col="text", key_col="rid", tokenizer="simple",
+                docs_per_partition=64, num_shards=4, positions=True)
+
+
+def write_split(df, paths, only=None):
+    """``df`` in equal slices over ``paths`` — 60 rows each, so every
+    file is ONE partition and a change to one file is a one-partition
+    delta; ``only`` rewrites just those file indexes."""
+    n = len(df) // len(paths)
+    for i, path in enumerate(paths):
+        if only is None or i in only:
+            write_docs(df.iloc[i * n:(i + 1) * n].reset_index(drop=True),
+                       path)
+
+
+def build_split(df, tmp_path, name, n_files=5):
+    os.makedirs(tmp_path / name)
+    paths = [str(tmp_path / name / f"f{i}.parquet") for i in range(n_files)]
+    write_split(df, paths)
+    out = str(tmp_path / f"idx_{name}")
+    build_index_rows(paths, out, **DELTA_KW)
+    return paths, out
+
+
+def _record_merge_jobs(monkeypatch, refuse=False):
+    """Patch ``ray.data.from_items``: with ``refuse`` every job start
+    raises; otherwise the shard lists of merge jobs (items that hold only
+    a ``shard``) are recorded and the job runs."""
+    import ray.data
+    real = ray.data.from_items
+    jobs = []
+
+    def from_items(items, *a, **k):
+        if refuse:
+            raise AssertionError("a Ray Data job was started")
+        if items and all(set(it) == {"shard"} for it in items):
+            jobs.append(sorted(it["shard"] for it in items))
+        return real(items, *a, **k)
+
+    monkeypatch.setattr(ray.data, "from_items", from_items)
+    return jobs
+
+
+def _mtimes(pattern):
+    return {f: os.stat(f).st_mtime_ns for f in glob.glob(pattern)}
+
+
+def test_cheap_cycles_start_no_ray_job(tmp_path, monkeypatch):
+    """The driver plans every shard's merge: a no-op resume, a delta of
+    one doc in one file (one changed partition, so one delta run per
+    touched shard) and an idle delta cycle start no Ray Data job, and end
+    at full-rebuild parity with the epoch id kept by the no-op cycles."""
+    from jesterj_ray.index.epoch import read_epoch
+    df = make_docs()
+    paths, out = build_split(df, tmp_path, "base")
+    _record_merge_jobs(monkeypatch, refuse=True)
+    epoch = read_epoch(out)["epoch"]
+    build_index_rows(paths, out, **DELTA_KW)        # no-op resume
+    assert read_epoch(out)["epoch"] == epoch
+    df.loc[57, "text"] = "changedword alpha beta"
+    write_split(df, paths, only={0})
+    d = delta_reindex(paths, out, **DELTA_KW)       # one-doc delta
+    assert d["reindexed_docs"] == 1 and d["tombstoned"] == 1
+    assert glob.glob(f"{out}/segments/shard-*-gen-*.parquet")
+    epoch = read_epoch(out)["epoch"]
+    d = delta_reindex(paths, out, **DELTA_KW)       # idle watch cycle
+    assert d["reindexed_docs"] == 0 and d["tombstoned"] == 0
+    assert read_epoch(out)["epoch"] == epoch
+    monkeypatch.undo()
+    _, full = build_split(df, tmp_path, "full")
+    assert score_map(out) == score_map(full)
+
+
+def test_merge_job_gets_only_stale_shards(tmp_path, monkeypatch):
+    """The merge job gets one item per shard that needs more than a
+    one-delta-run append, and nothing else: shards gaining runs from two
+    delta partitions, a shard crossing COMPACT_AFTER_GENS, and the one
+    shard whose merge-manifest row was deleted before a resume."""
+    from jesterj_ray.index.build import COMPACT_AFTER_GENS
+    jobs = _record_merge_jobs(monkeypatch)
+    df = make_docs()
+    paths, out = build_split(df, tmp_path, "base")
+
+    # a delta over two changed files: a shard gaining two delta runs
+    # goes to the job, a shard gaining one is appended in the driver
+    runs_before = set(glob.glob(f"{out}/runs/*/*.parquet"))
+    df.loc[5, "text"] = "twofileword alpha"
+    df.loc[67, "text"] = "otherfileword alpha"
+    write_split(df, paths, only={0, 1})
+    jobs.clear()
+    delta_reindex(paths, out, **DELTA_KW)
+    new_runs = {}
+    for f in set(glob.glob(f"{out}/runs/*/*.parquet")) - runs_before:
+        shard = int(os.path.basename(os.path.dirname(f)).split("-")[1])
+        new_runs[shard] = new_runs.get(shard, 0) + 1
+    two = sorted(s for s, n in new_runs.items() if n == 2)
+    assert two and jobs == [two], (new_runs, jobs)
+    gens = {int(os.path.basename(f).split("-")[1]) for f in
+            glob.glob(f"{out}/segments/shard-*-gen-*.parquet")}
+    assert gens == set(new_runs)
+    _, full = build_split(df, tmp_path, "full")
+    assert score_map(out) == score_map(full)
+
+    # one-doc deltas until alpha's shard compacts: each cycle's job holds
+    # exactly the shards whose base segment was re-merged
+    compacted = []
+    for rnd in range(COMPACT_AFTER_GENS + 1):
+        df.loc[rnd + 10, "text"] = f"genword{rnd} alpha"
+        write_split(df, paths, only={0})
+        bases = _mtimes(f"{out}/segments/shard-????.parquet")
+        jobs.clear()
+        delta_reindex(paths, out, **DELTA_KW)
+        rewritten = sorted(int(os.path.basename(f)[6:10]) for f, m in
+                           _mtimes(f"{out}/segments/shard-????.parquet")
+                           .items() if bases[f] != m)
+        assert jobs == ([rewritten] if rewritten else []), (rnd, jobs)
+        compacted += rewritten
+    assert compacted
+    full_paths, full2 = build_split(df, tmp_path, "full2")
+    assert score_map(out) == score_map(full2)
+
+    # a resume after one shard's merge-manifest row vanished re-merges
+    # that shard alone (the build is plain: no delta partitions to drop)
+    want = score_map(full2)
+    os.unlink(f"{full2}/manifest/merge/part-00002.json")
+    jobs.clear()
+    build_index_rows(full_paths, full2, **DELTA_KW)
+    assert jobs == [[2]]
+    assert score_map(full2) == want
+
+
+def test_driver_merge_crash_keeps_committed_epoch(tmp_path, monkeypatch):
+    """A one-partition delta whose driver-side generation write fails
+    raises, leaves the committed segments and epoch as they were (a reader
+    opened before still answers), keeps the dead ids staged in
+    tombstones.pending.json, and the next idle delta folds them in and
+    matches a full rebuild; verify-index passes."""
+    import json
+    from jesterj_ray.__main__ import main
+    df = make_docs()
+    paths, out = build_split(df, tmp_path, "base")
+    df.loc[10, "text"] = "firstword alpha"       # commit one generation
+    write_split(df, paths, only={0})
+    delta_reindex(paths, out, **DELTA_KW)
+    segs = _mtimes(f"{out}/segments/*.parquet")
+    assert any("-gen-" in f for f in segs)
+    with open(f"{out}/epoch.json", "rb") as f:
+        epoch = f.read()
+    reader = IndexReader(out)
+    before = score_map(out)
+
+    df.loc[57, "text"] = "crashword alpha beta"
+    write_split(df, paths, only={0})
+
+    class Boom(Exception):
+        pass
+
+    def failing_writer(*a, **k):
+        raise Boom("injected")
+
+    monkeypatch.setattr(pq, "ParquetWriter", failing_writer)
+    with pytest.raises(Boom):
+        delta_reindex(paths, out, **DELTA_KW)
+    monkeypatch.undo()
+
+    assert _mtimes(f"{out}/segments/*.parquet") == segs
+    assert not [f for f in os.listdir(f"{out}/segments")
+                if f.startswith(".tmp-")]
+    with open(f"{out}/epoch.json", "rb") as f:
+        assert f.read() == epoch
+    for q in QUERIES:      # the pre-crash reader still serves its epoch
+        hits = reader.topk(q, 10000)
+        keys = reader.doc_keys(np.array([d for d, _ in hits], np.int64))
+        assert {k: round(s, 9) for k, (_, s) in zip(keys, hits)} == \
+            before[q]
+    with open(f"{out}/tombstones.pending.json") as f:
+        assert json.load(f)["doc_ids"] == [57]    # pid 0, row 57
+
+    d = delta_reindex(paths, out, **DELTA_KW)
+    assert d["reindexed_docs"] == 0
+    assert not os.path.exists(f"{out}/tombstones.pending.json")
+    _, full = build_split(df, tmp_path, "full")
+    assert score_map(out) == score_map(full)
+    src = str(tmp_path / "all.parquet")
+    write_docs(df, src)
+    assert main(["verify-index", out, src, "--key-col", "rid",
+                 "--sample", "20"]) == 0
