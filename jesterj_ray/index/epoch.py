@@ -28,6 +28,19 @@ shared/object storage where open handles pin nothing):
 - Indexes without ``epoch.json`` (pre-epoch layouts, hand-built test
   dirs) keep the directory-listing behavior unchanged.
 
+Reuse across epochs: a parquet file that two epochs pin at the same
+fingerprint is the same immutable bytes, so what a reader loaded from it
+(a docs table, a segment's term index and row-group LRU) is kept in a
+per-process registry (``query._CoreRegistry``) and handed to the next
+reader of that dir instead of re-read — a reopen after a delta cycle
+reads only the files the new epoch added or replaced.  The registry is
+keyed by the dir's real path, the relpath and the pinned fingerprint,
+holds only the latest opened epoch's files, and a reader takes a core
+only after ``check_pinned`` passes for it, so a replaced or removed
+pinned file raises ``IndexChangedError`` exactly as on a cold load.
+Everything that depends on one epoch's dense numbering or stats
+(impacts, position keys, postings) is never shared.
+
 Compaction unlinks files that an older epoch references; a reader still
 on that epoch degrades to ``IndexChangedError`` on its next cold file
 open (already-open files keep serving) — stale readers fail honestly

@@ -15,9 +15,14 @@ LRU, so a warm query only does ``scores[dense] += contrib`` and a top-k
 gather.  (Block-max pruning was measured 1.5-2x slower than this: its
 ``idf*(k1+1)`` bound was too loose to ever prune.)
 
-Scale: shard tables are loaded lazily and cached per actor; doc lengths are
-held as one int64 array per partition (doc_id = pid << 32 | rank makes the
-lookup O(1) array indexing).  On a real cluster each QueryActor would hold
+Scale: shard tables are loaded lazily; doc lengths are held as one int64
+array per partition (doc_id = pid << 32 | rank makes the lookup O(1) array
+indexing).  What a reader loads from one immutable file (a docs table, a
+segment's term index and row-group LRU) is a per-file core shared with the
+other readers of the same index dir (``_CoreRegistry``), so a reopen reads
+only the files its epoch changed; everything that depends on one epoch's
+dense numbering (stats, tombstones, postings, impacts, position keys)
+stays per reader.  On a real cluster each QueryActor would hold
 only a doc-range slice; here one actor holds the full (small) test index.
 """
 
@@ -26,7 +31,9 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from typing import Dict, List, Optional, Tuple
+import threading
+from collections import OrderedDict
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 import pandas as pd
@@ -41,10 +48,108 @@ from .epoch import (IndexChangedError, check_pinned, publish_epoch,
                     read_epoch)
 
 
+class _CoreRegistry:
+    """Per-file cores shared between the IndexReaders of one index dir:
+    the immutable content a reader loads from one ``docs/`` or
+    ``segments/`` file (see :func:`_load_docs_core`,
+    :func:`_load_segment_core`).  A core is keyed by the dir's real
+    path, the file's relpath and the fingerprint the reader's epoch
+    pins for it, so a replaced file never matches an old core.  Only
+    the files of the most recently opened epoch of each dir are kept,
+    for the ``_DIRS_MAX`` most recently opened dirs.  Readers take a
+    core only after ``check_pinned`` passes (:meth:`IndexReader._core`),
+    exactly as after a cold load."""
+
+    _DIRS_MAX = 4
+
+    def __init__(self):
+        # real dir -> {"files": the epoch's pins,
+        #              "cores": {relpath: (fingerprint, core)}}
+        self._dirs: "OrderedDict[str, dict]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def pin(self, real_dir: str, files: Dict[str, str]) -> None:
+        """A reader opened ``real_dir`` at an epoch pinning ``files``:
+        drop the cores of files that epoch no longer pins (or pins at
+        another fingerprint) and mark the dir most recently used."""
+        with self._lock:
+            slot = self._dirs.pop(real_dir, None)
+            cores = {} if slot is None else {
+                r: fc for r, fc in slot["cores"].items()
+                if files.get(r) == fc[0]}
+            self._dirs[real_dir] = {"files": files, "cores": cores}
+            while len(self._dirs) > self._DIRS_MAX:
+                self._dirs.popitem(last=False)
+
+    def get(self, real_dir: str, relpath: str, fp: str):
+        slot = self._dirs.get(real_dir)
+        hit = slot["cores"].get(relpath) if slot is not None else None
+        return hit[1] if hit is not None and hit[0] == fp else None
+
+    def put(self, real_dir: str, relpath: str, fp: str, core) -> None:
+        """Keep ``core`` only if the dir's latest epoch pins it too."""
+        with self._lock:
+            slot = self._dirs.get(real_dir)
+            if slot is not None and slot["files"].get(relpath) == fp:
+                slot["cores"][relpath] = (fp, core)
+
+    def clear(self) -> None:
+        self._dirs.clear()
+
+    def __len__(self) -> int:
+        return len(self._dirs)
+
+
+_CORES = _CoreRegistry()
+
+
+def _load_docs_core(index_dir: str, relpath: str) -> tuple:
+    """``(pid, dl, doc_key)`` of one docs file — ``()`` when empty.  The
+    dl array is read-only: readers of one dir share it."""
+    t = pq.read_table(os.path.join(index_dir, relpath),
+                      columns=["doc_id", "dl", "doc_key"])
+    if t.num_rows == 0:
+        return ()
+    dl = t["dl"].to_numpy().astype(np.int64)
+    dl.flags.writeable = False
+    return (int(t["doc_id"][0].as_py()) >> DOC_BITS, dl,
+            t["doc_key"].combine_chunks())
+
+
+def _load_segment_core(index_dir: str, relpath: str) -> dict:
+    """One segment file's LAZY blob access: only the light term-index
+    columns (term/chunk/df/cf/count) load eagerly; posting blobs are
+    fetched per term by TARGETED row-group reads (segments are written
+    in small row groups) into a bounded LRU of touched row groups."""
+    pf = pq.ParquetFile(os.path.join(index_dir, relpath))
+    names = pf.schema_arrow.names
+    light = pf.read(columns=[c for c in ("term", "chunk", "df", "cf",
+                                         "count") if c in names])
+    nrg = pf.metadata.num_row_groups
+    rg_starts = np.concatenate([[0], np.cumsum(
+        [pf.metadata.row_group(i).num_rows
+         for i in range(nrg)])]).astype(np.int64)
+    # NO per-term dict: segments are term-sorted (chunks of a term
+    # adjacent in ascending chunk order), so term lookup is binary
+    # search over the zero-copy Arrow column — per-actor memory stays
+    # the Arrow buffers, not a Python dict of the whole vocabulary
+    return {"term_col": light["term"].combine_chunks(),
+            "light": light, "pf": pf, "relpath": relpath,
+            "rg_starts": rg_starts,
+            "blob_cols": [c for c in ("count", "doc_blob", "tf_blob",
+                                      "pos_blob") if c in names],
+            "rg_cache": OrderedDict()}
+
+
 class IndexReader:
     """Reads one on-disk index: a build (``build_rows.build_index_rows``
     or ``build.build_index``), its deltas and compactions, or a serving
-    slice dir from ``repartition.repartition_for_serving``."""
+    slice dir from ``repartition.repartition_for_serving``.
+
+    ``open_stats`` lists the relpaths of the docs/segment files this
+    reader read from disk (``files_loaded``) and those it took from an
+    earlier reader of the same dir (``files_reused``), at open and on
+    lazy shard loads."""
 
     def __init__(self, index_dir: str):
         self.dir = index_dir
@@ -53,6 +158,11 @@ class IndexReader:
         # published after this moment are invisible, replaced files raise
         # IndexChangedError (verify-AFTER-read everywhere below)
         self._epoch = read_epoch(index_dir)
+        self.open_stats: Dict[str, List[str]] = {"files_loaded": [],
+                                                 "files_reused": []}
+        if self._epoch is not None:
+            self._real_dir = os.path.realpath(index_dir)
+            _CORES.pin(self._real_dir, self._epoch["files"])
         with open(os.path.join(index_dir, "stats.json")) as f:
             self.stats = json.load(f)
         check_pinned(index_dir, self._epoch, "stats.json")
@@ -70,7 +180,6 @@ class IndexReader:
         # bounded cache of fully-decoded posting lists, each entry
         # [docs, tfs, impacts or None] (hot query terms are re-queried
         # constantly; decode and score once per reader, not per query)
-        from collections import OrderedDict
         self._postings_cache: "OrderedDict[str, list]" = OrderedDict()
         self._entry_cache: "OrderedDict[str, dict]" = OrderedDict()
         self._postings_cache_max = 512
@@ -82,30 +191,17 @@ class IndexReader:
         # and doc_key kept as Arrow arrays — NEVER to_pylist'd wholesale
         self._dl: Dict[int, np.ndarray] = {}
         self._doc_key: Dict[int, pa.Array] = {}
-        docs_dir = os.path.join(index_dir, "docs")
         if self._epoch is not None:
-            doc_names = [r.split("/", 1)[1] for r in
-                         sorted(self._epoch["files"])
-                         if r.startswith("docs/")]
+            doc_rels = [r for r in sorted(self._epoch["files"])
+                        if r.startswith("docs/")]
         else:
-            doc_names = [n for n in sorted(os.listdir(docs_dir))
-                         if n.endswith(".parquet")]
-        for name in doc_names:
-            try:
-                t = pq.read_table(os.path.join(docs_dir, name),
-                                  columns=["doc_id", "dl", "doc_key"])
-            except FileNotFoundError:
-                if self._epoch is not None:
-                    raise IndexChangedError(
-                        f"docs/{name} pinned by epoch was removed "
-                        f"(concurrent compaction?) — reopen") from None
-                raise
-            check_pinned(index_dir, self._epoch, f"docs/{name}")
-            if t.num_rows == 0:
-                continue
-            pid = int(t["doc_id"][0].as_py()) >> DOC_BITS
-            self._dl[pid] = t["dl"].to_numpy().astype(np.int64)
-            self._doc_key[pid] = t["doc_key"].combine_chunks()
+            doc_rels = ["docs/" + n for n in sorted(os.listdir(
+                os.path.join(index_dir, "docs"))) if n.endswith(".parquet")]
+        for rel in doc_rels:
+            core = self._core(rel, _load_docs_core)
+            if core:
+                pid, dl, keys = core
+                self._dl[pid], self._doc_key[pid] = dl, keys
         # dense docID space: doc_id = pid<<32|rank maps to base[pid]+rank.
         # Scoring uses a dense float64 accumulator over this space (classic
         # term-at-a-time score array; vectorized adds, no sort-merge).  On a
@@ -176,70 +272,57 @@ class IndexReader:
     def _shard_of(self, term: str) -> int:
         return int(hashlib.sha256(term.encode()).hexdigest()[:8], 16) % self.num_shards
 
+    def _core(self, relpath: str, load: Callable[[str, str], object]):
+        """The per-file core of ``relpath``: another reader's, when the
+        registry holds it at the fingerprint this reader's epoch pins,
+        else ``load(self.dir, relpath)`` from disk.  Either way
+        ``check_pinned`` runs AFTER, so a replaced or removed pinned file
+        raises IndexChangedError on reuse exactly as on a cold load.
+        Indexes without an epoch share nothing."""
+        fp = self._epoch["files"].get(relpath) \
+            if self._epoch is not None else None
+        core = _CORES.get(self._real_dir, relpath, fp) \
+            if fp is not None else None
+        if core is not None:
+            check_pinned(self.dir, self._epoch, relpath)
+            self.open_stats["files_reused"].append(relpath)
+            return core
+        try:
+            core = load(self.dir, relpath)
+        except FileNotFoundError:
+            raise IndexChangedError(
+                f"{relpath} was removed (concurrent compaction?) — "
+                f"reopen the reader") from None
+        check_pinned(self.dir, self._epoch, relpath)
+        if fp is not None:
+            _CORES.put(self._real_dir, relpath, fp, core)
+        self.open_stats["files_loaded"].append(relpath)
+        return core
+
     def _load_shard(self, shard: int):
-        """List of per-GENERATION shard states (gen 0 = the base segment
-        ``shard-XXXX.parquet``; delta rounds append
-        ``shard-XXXX-gen-NNN.parquet`` merged from only their new runs).
-        Each state has LAZY blob access: only the light term-index columns
-        (term/chunk/df/cf/count) load eagerly; posting blobs are fetched
-        per term by TARGETED row-group reads (segments are written in
-        small row groups), so an actor's memory is the term indexes plus
-        a bounded LRU of touched row groups — not the shard files (at
-        10^12 docs a shard is far larger than one node).  Hot terms span
-        multiple (term, chunk) rows, adjacent within a generation because
-        each merge emits in term order; generations ascend in doc order
-        (delta pids exceed base pids)."""
+        """List of per-GENERATION segment cores of ``shard`` (gen 0 = the
+        base segment ``shard-XXXX.parquet``; delta rounds append
+        ``shard-XXXX-gen-NNN.parquet`` merged from only their new runs),
+        each with lazy blob access (:func:`_load_segment_core`), so an
+        actor's memory is the term indexes plus a bounded LRU of touched
+        row groups — not the shard files (at 10^12 docs a shard is far
+        larger than one node).  Hot terms span multiple (term, chunk)
+        rows, adjacent within a generation because each merge emits in
+        term order; generations ascend in doc order (delta pids exceed
+        base pids)."""
         if shard not in self._shard_cache:
-            from collections import OrderedDict
-            seg_dir = os.path.join(self.dir, "segments")
-            base = f"shard-{shard:04d}"
-            paths = []
+            base = f"segments/shard-{shard:04d}"
             if self._epoch is not None:
-                listed = sorted(self._epoch["files"])
-                if f"segments/{base}.parquet" in self._epoch["files"]:
-                    paths.append(os.path.join(seg_dir, base + ".parquet"))
-                paths += [os.path.join(self.dir, r) for r in listed
-                          if r.startswith(f"segments/{base}-gen-") and
-                          r.endswith(".parquet")]
-            elif os.path.isdir(seg_dir):
-                if os.path.exists(os.path.join(seg_dir, base + ".parquet")):
-                    paths.append(os.path.join(seg_dir, base + ".parquet"))
-                paths += sorted(
-                    os.path.join(seg_dir, n) for n in os.listdir(seg_dir)
-                    if n.startswith(base + "-gen-") and
-                    n.endswith(".parquet"))
-            states = []
-            for path in paths:
-                try:
-                    pf = pq.ParquetFile(path)
-                except FileNotFoundError:
-                    raise IndexChangedError(
-                        f"{path} pinned by epoch was removed — reopen "
-                        f"the reader") from None
-                names = pf.schema_arrow.names
-                light_cols = [c for c in ("term", "chunk", "df", "cf",
-                                          "count") if c in names]
-                light = pf.read(columns=light_cols)
-                check_pinned(self.dir, self._epoch,
-                             os.path.relpath(path, self.dir))
-                nrg = pf.metadata.num_row_groups
-                rg_starts = np.concatenate([[0], np.cumsum(
-                    [pf.metadata.row_group(i).num_rows
-                     for i in range(nrg)])]).astype(np.int64)
-                # NO per-term dict: segments are term-sorted (chunks of a
-                # term adjacent in ascending chunk order), so term lookup
-                # is binary search over the zero-copy Arrow column —
-                # per-actor memory stays the Arrow buffers, not a Python
-                # dict of the whole vocabulary
-                states.append({
-                    "term_col": light["term"].combine_chunks(),
-                    "light": light, "pf": pf,
-                    "relpath": os.path.relpath(path, self.dir),
-                    "rg_starts": rg_starts,
-                    "blob_cols": [c for c in ("count", "doc_blob",
-                                              "tf_blob", "pos_blob")
-                                  if c in names],
-                    "rg_cache": OrderedDict()})
+                listed = self._epoch["files"]
+            else:
+                seg_dir = os.path.join(self.dir, "segments")
+                listed = ["segments/" + n for n in os.listdir(seg_dir)] \
+                    if os.path.isdir(seg_dir) else []
+            rels = [base + ".parquet"] if base + ".parquet" in listed \
+                else []
+            rels += sorted(r for r in listed if r.startswith(base + "-gen-")
+                           and r.endswith(".parquet"))
+            states = [self._core(r, _load_segment_core) for r in rels]
             self._shard_cache[shard] = states or None
         return self._shard_cache[shard]
 
@@ -263,11 +346,12 @@ class IndexReader:
             hi += 1
         return range(lo, hi)
 
-    _RG_CACHE_MAX = 8  # touched row groups kept per shard (bounds memory)
+    _RG_CACHE_MAX = 8  # touched row groups kept per segment (bounds memory)
 
     def _shard_row(self, state: dict, i: int) -> dict:
         """One segment row's posting blobs via a targeted row-group read
-        of just those columns (LRU-cached per shard)."""
+        of just those columns, LRU-cached in the segment's core (shared
+        by every reader that pins the same file version)."""
         rg = int(np.searchsorted(state["rg_starts"], i, side="right") - 1)
         cache = state["rg_cache"]
         t = cache.get(rg)
@@ -284,7 +368,9 @@ class IndexReader:
             if len(cache) > self._RG_CACHE_MAX:
                 cache.popitem(last=False)
         else:
-            cache.move_to_end(rg)
+            # pop + re-insert, not move_to_end: a reader sharing this
+            # core may have just evicted the row group
+            cache[rg] = cache.pop(rg, t)
         local = i - int(state["rg_starts"][rg])
         return {c: t[c][local] for c in t.column_names}
 

@@ -89,7 +89,7 @@ class _ReopenMixin:
 
     def reopen(self) -> None:
         """Re-pin every slice actor at the latest published epoch
-        (drops caches; subsequent queries fault state back in lazily)."""
+        (see :meth:`SliceQueryActor.reopen` for what is kept)."""
         self._stale = True
         ray.get([a.reopen.remote() for a in self.actors])
         self._stale = False
@@ -119,8 +119,11 @@ class SliceQueryActor:
         self.reader = IndexReader(slice_dir)
 
     def reopen(self) -> None:
-        """Re-pin at the slice's LATEST published epoch (drops every
-        cached table; the next queries fault pages back in lazily)."""
+        """Re-pin at the slice's LATEST published epoch.  Files the new
+        epoch pins unchanged keep their loaded docs tables and segment
+        term indexes (shared per-file cores, re-verified against the
+        pin); replaced or new files and every postings/impacts cache
+        are loaded afresh, lazily, by the next queries."""
         self.reader = IndexReader(self._dir)
 
     def topk(self, query: str, k: int) -> List[Tuple[int, float]]:

@@ -2880,6 +2880,29 @@ def q21_blame_supplier(sf_dir: str, *, num_groups: int = 32,
         "numwait": per["n"].to_numpy(np.int64)}).reset_index(drop=True)
 
 
+def _zscore_keep(c: np.ndarray, n: int, s: int, rhs: int) -> np.ndarray:
+    """Outlier mask of one type's cents ``c``: the exact integer test
+    ``(n*c - s)^2 > rhs`` of :func:`zscore_outlier_events`.  ``d = n*c -
+    s`` and its square run in int64 only where they provably fit
+    (``n*max|c| + |s| < 2^63``, ``|d| < 3e9``); past either bound they
+    run in Python ints, so nothing wraps silently."""
+    if c.size == 0:
+        return np.zeros(0, dtype=bool)
+    if n * max(int(c.max()), -int(c.min())) + abs(s) >= (1 << 63):
+        d = c.astype(object) * n - s
+    else:
+        d = n * c - s
+        if int(np.abs(d).max()) < 3_000_000_000:
+            # d^2 < 9e18 fits int64 — fully vectorized; an rhs past
+            # int64 is above every such square
+            if rhs >= (1 << 63):
+                return np.zeros(c.size, dtype=bool)
+            return d * d > rhs
+    # exact big-int fallback (per-row Python only past int64)
+    return np.fromiter((x * x > rhs for x in d.tolist()), dtype=bool,
+                       count=c.size)
+
+
 def zscore_outlier_events(sf_dir: str) -> pd.DataFrame:
     """Per-type 3-sigma outlier detection in EXACT integer arithmetic
     — the anomaly-detection shape with oracle-perfect parity: floats
@@ -2896,9 +2919,10 @@ def zscore_outlier_events(sf_dir: str) -> pd.DataFrame:
     Exactness contract: per-block moments refuse LOUDLY past the
     int64 headroom (|cents| or block rows >= 2^21) rather than wrap
     silently; the driver folds block partials and the threshold in
-    Python ints (exact at any magnitude), and the per-row square uses
-    int64 when it fits with an exact big-int fallback — the SQL side
-    is HUGEINT throughout."""
+    Python ints (exact at any magnitude), and the per-row ``n*c - S``
+    and its square use int64 only when they fit, with an exact big-int
+    fallback (:func:`_zscore_keep`) — the SQL side is HUGEINT
+    throughout."""
     ds = rd.read_parquet(os.path.join(sf_dir, "events.parquet"),
                          columns=["event_type", "event_id", "value"],
                          override_num_blocks=8)
@@ -2954,18 +2978,7 @@ def zscore_outlier_events(sf_dir: str) -> pd.DataFrame:
         keep = np.zeros(c.size, dtype=bool)
         for typ, (n, s, rhs) in stats.items():
             sel = et == typ
-            d = n * c[sel] - s          # |d| <= n*max_cents
-            if abs(d).max(initial=0) < 3_000_000_000:
-                if rhs >= (1 << 63):
-                    continue  # every in-range d^2 is below rhs
-                # d^2 < 9e18 fits int64 — fully vectorized
-                keep[sel] = d * d > rhs
-            else:
-                # exact big-int fallback (per-row Python only when the
-                # square would overflow int64)
-                lhs = d.astype(object) ** 2
-                keep[sel] = np.fromiter((x > rhs for x in lhs),
-                                        dtype=bool, count=lhs.size)
+            keep[sel] = _zscore_keep(c[sel], n, s, rhs)
         return pd.DataFrame({
             "event_type": et[keep],
             "event_id": ids[keep],

@@ -153,6 +153,142 @@ def test_compaction_vs_pinned_reader(tmp_path):
     assert read_epoch(out)["epoch"] > warm._epoch["epoch"]
 
 
+def _multi_file_index(tmp_path, seed=3):
+    """A 3-file source indexed into 4 shards (several docs files)."""
+    df = _docs(300, seed=seed)
+    srcs = [str(tmp_path / f"c{i}.parquet") for i in range(3)]
+    for i, src in enumerate(srcs):
+        _write(df.iloc[i * 100:(i + 1) * 100], src)
+    out = str(tmp_path / "idx")
+    build_index_rows(srcs, out, positions=True,
+                     **{**KW, "num_shards": 4})
+    return df, srcs, out
+
+
+def _query_every_shard(reader):
+    """Results of every query mode over terms that hash to every shard."""
+    vocab = ["alpha", "beta", "gamma", "delta", "omega"] + \
+        [f"w{i}" for i in range(60)]
+    assert {reader._shard_of(t) for t in vocab} == set(
+        range(reader.num_shards))
+    out = [reader.topk(t, 10) for t in vocab]
+    out += [reader.topk_and("alpha omega", 10),
+            reader.phrase_topk("alpha beta", 10)]
+    ids = np.array([h[0] for h in reader.topk("gamma w3", 30)],
+                   dtype=np.int64)
+    return out + [reader.doc_keys(ids)]
+
+
+def test_reopen_reads_only_the_files_its_epoch_changed(tmp_path):
+    """After a one-file delta cycle, a new reader loads only the new
+    docs file and the cycle's new generation segments; every other
+    docs/segment core comes from the previous epoch's reader, and every
+    query mode answers exactly as a reader opened with an empty core
+    registry."""
+    from jesterj_ray.index.query import _CORES
+    df, srcs, out = _multi_file_index(tmp_path)
+    before = IndexReader(out)
+    _query_every_shard(before)            # every shard's cores loaded
+    old_files = set(before._epoch["files"])
+    df.loc[150, "text"] = "omega alpha beta zqnew " + " ".join(
+        f"w{i}" for i in range(60))      # touches every shard
+    _write(df.iloc[100:200], srcs[1])
+    delta_reindex(srcs, out, positions=True, **{**KW, "num_shards": 4})
+    after = IndexReader(out)
+    got = _query_every_shard(after)
+    new_files = {r for r in after._epoch["files"]
+                 if r.startswith(("docs/", "segments/"))} - old_files
+    loaded = after.open_stats["files_loaded"]
+    assert sorted(loaded) == sorted(new_files)
+    assert sum(r.startswith("docs/") for r in loaded) == 1
+    assert sum("-gen-" in r for r in loaded) == 4
+    assert set(after.open_stats["files_reused"]) == {
+        r for r in after._epoch["files"]
+        if r.startswith(("docs/", "segments/"))} - new_files
+    _CORES.clear()
+    cold = IndexReader(out)
+    assert _query_every_shard(cold) == got
+    assert not cold.open_stats["files_reused"]
+    assert got[-2] and cold.topk("zqnew", 1) == after.topk("zqnew", 1)
+
+
+def test_rebuild_at_same_path_never_serves_old_cores(tmp_path):
+    """An index rebuilt at the same path from another corpus pins other
+    fingerprints: its readers load every file afresh."""
+    import shutil
+    _, _, out = _multi_file_index(tmp_path, seed=3)
+    _query_every_shard(IndexReader(out))
+    shutil.rmtree(out)
+    df = _docs(240, seed=8)
+    src = str(tmp_path / "other.parquet")
+    _write(df, src)
+    build_index_rows(src, out, positions=True, **{**KW, "num_shards": 4})
+    r = IndexReader(out)
+    got = _query_every_shard(r)
+    assert not r.open_stats["files_reused"]
+    assert r.n_dense == 240
+    from jesterj_ray.index.query import _CORES
+    _CORES.clear()
+    assert _query_every_shard(IndexReader(out)) == got
+
+
+def test_core_registry_keeps_a_bounded_number_of_dirs(tmp_path):
+    """Readers over more dirs than the registry's bound leave only the
+    bound's number of dirs in it; cores never cross dirs, even between
+    byte-identical copies."""
+    import shutil
+    from jesterj_ray.index.query import _CORES, _CoreRegistry
+    df = _docs(120)
+    src = str(tmp_path / "c.parquet")
+    _write(df, src)
+    first = str(tmp_path / "d0")
+    build_index_rows(src, first, **KW)
+    dirs = [first]
+    for i in range(1, _CoreRegistry._DIRS_MAX + 2):
+        dirs.append(str(tmp_path / f"d{i}"))
+        shutil.copytree(first, dirs[-1])    # same fingerprints
+    _CORES.clear()
+    for d in dirs:
+        r = IndexReader(d)
+        r.topk("omega", 5)
+        assert not r.open_stats["files_reused"]
+        assert len(_CORES) <= _CoreRegistry._DIRS_MAX
+    assert len(_CORES) == _CoreRegistry._DIRS_MAX
+    again = IndexReader(dirs[-1])
+    assert again.open_stats["files_reused"]
+    evicted = IndexReader(first)
+    assert not evicted.open_stats["files_reused"]
+    # readers opened from threads share the registry and the segment
+    # cores' row-group LRUs: every answer stays exact, the bound holds
+    import sys
+    import threading
+    want = IndexReader(first).topk("omega alpha w7", 20)
+    errors = []
+
+    def opener(t):
+        try:
+            for i in range(25):
+                r = IndexReader(dirs[(t + i) % len(dirs)])
+                assert r.topk("omega alpha w7", 20) == want
+        except BaseException as e:          # surfaced in the main thread
+            errors.append(e)
+
+    old_switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=opener, args=(t,))
+                   for t in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(old_switch)
+    assert not any(t.is_alive() for t in threads)
+    assert not errors, errors
+    assert len(_CORES) == _CoreRegistry._DIRS_MAX
+
+
 def test_sharded_service_reopens_across_delta_and_compaction(
         ray_session, tmp_path):
     """r03 VERDICT #7: with ``reopen_on_change=True`` the sharded

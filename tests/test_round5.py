@@ -1723,6 +1723,28 @@ def test_zscore_outliers_exact_integer_rule(ray_session):
     assert len(got) > 0
 
 
+def test_zscore_keep_exact_past_int64():
+    """The pass-2 keep test ``(n*c - s)^2 > rhs`` stays exact when
+    ``n*c`` itself overflows int64 (n = 2^50, |c| = 2^20 gives 2^70,
+    which a plain int64 product wraps silently)."""
+    from jesterj_ray.pipelines.relational import _zscore_keep
+    n = 1 << 50
+    c = np.array([1 << 20, -(1 << 20), 3, 0, (1 << 20) - 1, -7],
+                 dtype=np.int64)
+    s = 5 * n
+    d = [n * int(x) - s for x in c]
+    for rhs in (0, d[2] ** 2, d[0] ** 2 - 1, d[0] ** 2, 1 << 200):
+        want = [x * x > rhs for x in d]
+        assert _zscore_keep(c, n, s, rhs).tolist() == want
+    # the wrap this guards against: int64 n*c is not the exact product
+    assert int((n * c)[0]) != n * (1 << 20)
+    # int64 fast path and empty input agree with Python ints too
+    c2 = np.array([40, -3, 5, 0], dtype=np.int64)
+    want = [(10 * int(x) - 20) ** 2 > 900 for x in c2]
+    assert _zscore_keep(c2, 10, 20, 900).tolist() == want
+    assert _zscore_keep(c2[:0], 10, 20, 900).size == 0
+
+
 def test_spectral_stereo_channel_sum(ray_session):
     """A stereo payload must channel-sum before framing (not
     interleave), matching the mono of the summed signal."""
