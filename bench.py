@@ -56,6 +56,7 @@ def run_bench() -> dict:
     from ray.data import DataContext
     DataContext.get_current().enable_progress_bars = False
 
+    import pyarrow as pa
     import pyarrow.parquet as pq
     import ray.data as rd
     sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))
@@ -70,12 +71,9 @@ def run_bench() -> dict:
 
     # headline: inverted-index build over documents (simple tokenizer,
     # fresh dir — no cache reuse)
-    from jesterj_ray.index.build import build_index
-    import pyarrow as pa
-    import pyarrow.compute as pc
     out_dir = f"/tmp/jjray_bench/docidx-{NUM_CPUS}"
     shutil.rmtree(out_dir, ignore_errors=True)
-    # warm OS page cache so we measure compute+shuffle, not first disk read
+    # warm OS page cache so we measure compute, not first disk read
     pq.read_table(os.path.join(SF_DIR, "documents.parquet"))
     doc_path = _scaled_input() if SCALE_DOCS else \
         os.path.join(SF_DIR, "documents.parquet")
@@ -117,21 +115,6 @@ def run_bench() -> dict:
             "sf": SF_DIR, "num_cpus": NUM_CPUS, "n_docs": n_docs,
             "docs_per_sec": round(n_docs / timings["index_build"], 1),
         }
-
-    # secondary: the sha-partitioned shuffle build (fused exact-dedup path)
-    shuffle_dir = out_dir + "-shuffle"
-    shutil.rmtree(shuffle_dir, ignore_errors=True)
-    t0 = time.time()
-    ds = rd.read_parquet(doc_path, columns=["doc_id", "text"],
-                         override_num_blocks=NUM_CPUS)
-    ds = ds.map_batches(
-        lambda t: t.append_column(
-            "doc_key", pc.utf8_lpad(pc.cast(t["doc_id"], pa.string()),
-                                    width=12, padding="0")),
-        batch_format="pyarrow")
-    build_index(ds, shuffle_dir, text_col="text", tokenizer="simple",
-                num_partitions=32, num_shards=8, dedup=True)
-    timings["index_build_shuffle_dedup"] = time.time() - t0
 
     # query serving: the fixed query set, many times over, via the actor pool
     from jesterj_ray.index.query import QueryActor
@@ -346,7 +329,8 @@ def run_bench() -> dict:
 
     from jesterj_ray.pipelines.flagship import (BlockJoinQueryActor,
                                                 documents_children_index)
-    shutil.rmtree(_cache_dir(SF_DIR, "docidx-child1"), ignore_errors=True)
+    for tag in ("docidx-child2", "docidx-child2-split"):
+        shutil.rmtree(_cache_dir(SF_DIR, tag), ignore_errors=True)
     t0 = time.time()
     cidx = documents_children_index(SF_DIR)
     timings["blockjoin_child_build"] = time.time() - t0

@@ -30,7 +30,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from .knn import _normalize
+from .knn import _normalize, list_vectors
 
 
 class HNSWGraph:
@@ -172,7 +172,7 @@ def build_hnsw(ds: "ray.data.Dataset", *, num_shards: int = 4,
 
     def tag(t: pa.Table) -> pa.Table:
         ids = t[id_field].to_numpy(zero_copy_only=False).astype(np.int64)
-        vecs = np.asarray(t[vec_field].to_pylist(), dtype=np.float32)
+        vecs = list_vectors(t[vec_field], np.float32)
         blobs = [v.tobytes() for v in vecs]
         return pa.table({
             "shard": pa.array(ids % num_shards, pa.int64()),

@@ -20,9 +20,32 @@ from typing import List, Optional
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
+
+
+def list_vectors(col, dtype) -> np.ndarray:
+    """A ``list<float>`` column (Array or ChunkedArray) as an (n, d)
+    ``dtype`` matrix: one ``list_flatten`` and one numpy cast, no
+    per-value Python.  A null or ragged row raises — flattening it would
+    shift every later row.  An empty column gives (0, d) for a
+    fixed-size list type, else (0, 0)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if col.null_count:
+        raise ValueError("vector column has a null row")
+    n = len(col)
+    if n:
+        lens = pc.list_value_length(col).to_numpy(zero_copy_only=False)
+        d = int(lens[0])
+        if (lens != d).any():
+            raise ValueError("vector column rows differ in length")
+    else:
+        d = getattr(col.type, "list_size", 0)
+    flat = pc.list_flatten(col).to_numpy(zero_copy_only=False)
+    return flat.astype(dtype, copy=False).reshape(n, d)
 
 
 def _normalize(m: np.ndarray) -> np.ndarray:
@@ -47,7 +70,7 @@ def brute_force_topk(ds: "ray.data.Dataset", query_vecs: np.ndarray, *,
     def partial_topk(batch: pa.Table) -> pa.Table:
         qm = ray.get(q_ref)
         ids = batch[id_field].to_numpy(zero_copy_only=False).astype(np.int64)
-        vecs = np.asarray(batch[vec_field].to_pylist(), dtype=qm.dtype)
+        vecs = list_vectors(batch[vec_field], qm.dtype)
         if vecs.size == 0:
             return pa.table({"qid": pa.array([], pa.int64()),
                              "vec_id": pa.array([], pa.int64()),
@@ -99,8 +122,8 @@ def embedding_near_dup_pairs(ds: "ray.data.Dataset", *, threshold: float = 0.4,
 
     def norm_pack(batch: pa.Table) -> pa.Table:
         ids = batch[id_field].to_numpy(zero_copy_only=False).astype(np.int64)
-        vecs = _normalize(np.asarray(batch[vec_field].to_pylist(),
-                                     dtype=dtype)).astype(np.float64)
+        vecs = _normalize(list_vectors(batch[vec_field], dtype)
+                          ).astype(np.float64)
         # fixed-width binary blob per row: decodes with one np.frombuffer
         # per block instead of an O(rows) to_pylist -> np.asarray pass
         # (ADVICE r02)
@@ -192,7 +215,7 @@ def lsh_embedding_near_dup_pairs(ds: "ray.data.Dataset", *,
     def add_buckets(batch: pa.Table) -> pa.Table:
         # plane matrices are regenerated per batch from the fixed seed:
         # deterministic, nothing broadcast, sized from the batch's dim
-        vecs = np.asarray(batch[vec_field].to_pylist(), dtype=np.float64)
+        vecs = list_vectors(batch[vec_field], np.float64)
         if vecs.size == 0:
             return pa.table({"table_id": pa.array([], pa.int32()),
                              "bucket": pa.array([], pa.uint64()),
@@ -308,8 +331,7 @@ class IVFIndex:
 
     def add_assignments(self, batch: pa.Table, *, vec_field: str = "embedding"
                         ) -> pa.Table:
-        vecs = _normalize(np.asarray(batch[vec_field].to_pylist(),
-                                     dtype=np.float32))
+        vecs = _normalize(list_vectors(batch[vec_field], np.float32))
         cell = np.argmax(vecs @ self.centroids.T, axis=1) if vecs.size else \
             np.empty(0, dtype=np.int64)
         return batch.append_column("ivf_cell",
@@ -345,7 +367,7 @@ class LSHIndexedSearch:
 
     def add_buckets(self, batch: pa.Table, *, vec_field: str = "embedding"
                     ) -> pa.Table:
-        vecs = np.asarray(batch[vec_field].to_pylist(), dtype=np.float32)
+        vecs = list_vectors(batch[vec_field], np.float32)
         b = self.bucket_of(vecs) if vecs.size else np.empty(0, dtype=np.uint64)
         return batch.append_column("bucket", pa.array(b, pa.uint64()))
 

@@ -38,7 +38,7 @@ import pyarrow as pa
 
 import ray
 
-from .knn import _normalize
+from .knn import _normalize, list_vectors
 
 
 def train_pq(ds: "ray.data.Dataset", *, m: int = 8, k: int = 16,
@@ -101,8 +101,7 @@ class PQEncoder:
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         m, k, sub = self.books.shape
-        vecs = _normalize(np.asarray(batch[self.vec_field].to_pylist(),
-                                     dtype=np.float32))
+        vecs = _normalize(list_vectors(batch[self.vec_field], np.float32))
         codes = np.empty((len(batch), m), dtype=np.uint8)
         for j in range(m):
             xs = vecs[:, j * sub:(j + 1) * sub]

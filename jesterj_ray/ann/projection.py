@@ -30,6 +30,7 @@ import ray
 import ray.data as rd
 
 from ..stages.sampling import mix_rank
+from .knn import list_vectors
 
 
 def sign_matrix(d_in: int, d_out: int) -> np.ndarray:
@@ -59,7 +60,7 @@ def jl_project(sf_dir: str, *, d_out: int = 16,
     def project(t: pa.Table) -> pa.Table:
         s = ray.get(s_ref)
         ids = t[id_field].to_numpy(zero_copy_only=False).astype(np.int64)
-        x = np.asarray(t[vec_field].to_pylist(), dtype=np.float64)
+        x = list_vectors(t[vec_field], np.float64)
         if x.size == 0:
             return pa.table({"vec_id": pa.array([], pa.int64()),
                              "j": pa.array([], pa.int64()),

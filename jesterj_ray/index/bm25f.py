@@ -77,10 +77,9 @@ class BM25FReader:
             if not self._same_doc_space(self.primary, r):
                 raise ValueError(
                     f"field index {f!r} has a different doc space — all "
-                    "BM25F fields must be built from the same input with "
-                    "an input-derived partitioning (build_index "
-                    "partition_by='doc_key' or build_index_rows) so every "
-                    "field assigns each doc the same (pid, rank)")
+                    "BM25F fields must be built by build_index_rows from "
+                    "the same input with the same docs_per_partition, so "
+                    "every field assigns each doc the same (pid, rank)")
             if not np.array_equal(r._tombstone, self.primary._tombstone):
                 raise ValueError(
                     f"field index {f!r} tombstones differ from the "

@@ -1,21 +1,17 @@
-"""Distributed inverted-index build — the sha-partitioned (fused-dedup) path.
+"""Distributed inverted-index build: partition runs and the shard merge.
 
 Replaces JesterJ's terminal Solr/OpenSearch senders
 (``ingest/processors/SendToSolrProcessor.java``,
 ``SendToOpenSearchProcessor.java`` — which batch documents to an external
 search engine) with a from-scratch index build, per the north_rule.
 
-Two build paths share this module's partition indexer and merge:
+The one build entry point is ``build_rows.build_index_rows`` (row-range
+partitions planned from parquet metadata, no shuffle); dedup at ingest
+runs before it (``stages.dedup.exact_dedup_parquet``).  This module holds
+what it and the delta/compaction paths share: the partition indexer
+(``_index_partition_tables``) and the merge.
 
-- THIS path (``build_index``): ONE all-to-all shuffle keyed on
-  pid = hash(content_sha256) % P, so exact duplicates co-locate and
-  dedup keep-first (min doc_key) is fused into the build; docID =
-  pid << 32 | rank-within-sorted-doc_keys (deterministic at any
-  parallelism).
-- ``build_rows.build_index_rows``: ZERO-shuffle row-range partitions
-  planned from parquet metadata (the scale path; dedup runs upstream).
-
-Both write per-partition RUNS PRE-PARTITIONED BY TERM SHARD (a map-side
+Each partition writes its RUNS PRE-PARTITIONED BY TERM SHARD (a map-side
 partitioned spill): one file per (shard, partition) carrying term rows
 with count/cf/first/last doc, a delta+varbyte doc blob, a tf blob and an
 optional position blob.  ``partition_runs`` builds a partition's whole
@@ -52,10 +48,9 @@ cluster.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from itertools import chain
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, List
 
 import numpy as np
 import pandas as pd
@@ -64,118 +59,16 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from ..state.manifest import (Manifest, MAX_ATTEMPTS, STATUS_DEAD,
-                              STATUS_INDEXED, atomic_write_bytes,
-                              atomic_write_table)
-from ..tokenize.tokenizer import TOKENIZERS
+from ..state.manifest import Manifest, STATUS_INDEXED, atomic_write_table
 from . import codec
 from .codec import (_bin_view, _cum0, encode_runs, range_cuts,
                     varbyte_encode, varbyte_lengths)
-from .epoch import publish_epoch
 
 DOC_BITS = 32  # doc_id = pid << DOC_BITS | local_rank
 
 # delta partitions (per-doc incremental re-index) live above this pid so
 # they can never collide with planned row-range pids; build_rows re-exports
 DELTA_PID_BASE = 1 << 20
-
-
-def _sha256_hex(arr: Iterable[bytes]) -> List[str]:
-    return [hashlib.sha256(x).hexdigest() for x in arr]
-
-
-def add_sha_and_partition(batch: pa.Table, *, num_partitions: int,
-                          text_col: str, key_cols: List[str],
-                          partition_by: str = "sha") -> pa.Table:
-    """Stage 1: content_sha256 + doc_key + pid columns (vectorized where
-    pyarrow has kernels; sha256 is per-value hashlib over the raw bytes).
-
-    ``partition_by='sha'`` (default) co-locates duplicate contents in one
-    partition (required by the fused dedup).  ``partition_by='doc_key'``
-    hashes the document KEY instead — every index built over the same
-    corpus with the same partitioning then lands each doc in the same
-    (pid, rank), i.e. the same docID, regardless of the indexed text.
-    Per-FIELD indexes (BM25F) require this so they share one dense doc
-    space; incompatible with dedup (dups no longer co-locate)."""
-    content = batch[text_col].cast(pa.large_binary())
-    shas = _sha256_hex(x if x is not None else b"" for x in content.to_pylist())
-    sha_arr = pa.array(shas, pa.string())
-    if "doc_key" not in batch.column_names:
-        key = batch[key_cols[0]].cast(pa.string())
-        for c in key_cols[1:]:
-            key = pc.binary_join_element_wise(key, batch[c].cast(pa.string()), ":")
-        batch = batch.append_column("doc_key", key)
-    if partition_by == "doc_key":
-        pid_src = _sha256_hex(k.encode() for k in
-                              batch["doc_key"].to_pylist())
-    else:
-        pid_src = shas
-    pid = np.array([int(s[:8], 16) for s in pid_src],
-                   dtype=np.int64) % num_partitions
-    return batch.append_column("content_sha256", sha_arr) \
-                .append_column("pid", pa.array(pid, pa.int64()))
-
-
-def make_partition_indexer(out_dir: str, *, tokenizer: str, text_col: str,
-                           dedup: bool, num_shards: int = 8,
-                           positions: bool = False,
-                           fail_pids: Optional[List[int]] = None):
-    """Returns the map_groups fn for stage 1 (one call per pid group).
-
-    ``fail_pids`` injects a deterministic failure for resume tests (the
-    LogAndFail analog, reference ``ingest/processors/LogAndFail.java:47-60``).
-    """
-    tok = TOKENIZERS[tokenizer]
-    fail = set(fail_pids or [])
-
-    def partition_indexer(g: pd.DataFrame) -> pd.DataFrame:
-        pid = int(g["pid"].iloc[0])
-        man = Manifest(out_dir, "build")
-        prior = man.read(pid)
-        if prior and prior.get("status") == STATUS_INDEXED:
-            # resume: partition already committed — emit its metrics row only
-            return pd.DataFrame([{k: prior[k] for k in
-                                  ("partition_id", "docs_seen", "terms_emitted",
-                                   "bytes_written", "dl_sum")} | {"status": prior["status"]}])
-        # retry count from the transition history (consecutive ERRORs)
-        attempt = man.consecutive_errors(pid) + 1
-        man.log(pid, "RESTART" if attempt > 1 else "PROCESSING",
-                attempt=attempt)
-        try:
-            if pid in fail:
-                raise RuntimeError(f"injected failure for pid {pid}")
-            if attempt > MAX_ATTEMPTS:
-                raise RuntimeError("max attempts exceeded")
-            return _index_partition(g, pid, man, out_dir, tok, text_col,
-                                    dedup, num_shards, attempt, positions)
-        except Exception as e:  # quarantine: record ERROR/DEAD, re-raise unless DEAD
-            status = STATUS_DEAD if attempt >= MAX_ATTEMPTS else "ERROR"
-            man.commit(pid, status=status, attempt=attempt, message=str(e)[:500])
-            if status == STATUS_DEAD:
-                # poison partition: swallow so one bad partition can't wedge the job
-                return pd.DataFrame([{"partition_id": pid, "docs_seen": 0,
-                                      "terms_emitted": 0, "bytes_written": 0,
-                                      "dl_sum": 0, "status": STATUS_DEAD}])
-            raise
-
-    return partition_indexer
-
-
-def _index_partition(g: pd.DataFrame, pid: int, man: Manifest, out_dir: str,
-                     tok, text_col: str, dedup: bool, num_shards: int,
-                     attempt: int, positions: bool = False) -> pd.DataFrame:
-    fingerprint = hashlib.sha256(
-        ("|".join(sorted(g["doc_key"])) + f"#{len(g)}").encode()).hexdigest()
-    if dedup:
-        # exact dedup keep-first: duplicates share content_sha256 and
-        # therefore pid, so a per-partition keep-min(doc_key) is GLOBAL dedup
-        g = g.sort_values("doc_key", kind="mergesort")
-        g = g.drop_duplicates(subset="content_sha256", keep="first")
-    rec = _index_partition_tables(g, pid, out_dir, tok, text_col,
-                                  sort_rows=True, fingerprint=fingerprint,
-                                  attempt=attempt, manifest=man,
-                                  num_shards=num_shards, positions=positions)
-    return pd.DataFrame([rec])
 
 
 def partition_runs(toks_per_doc: List[List[str]], dls: np.ndarray,
@@ -231,15 +124,13 @@ def partition_runs(toks_per_doc: List[List[str]], dls: np.ndarray,
 
 
 def _index_partition_tables(g: pd.DataFrame, pid: int, out_dir: str,
-                            tok, text_col: str, *, sort_rows: bool,
+                            tok, text_col: str, *,
                             fingerprint: str, attempt: int,
                             manifest: Manifest, num_shards: int = 8,
                             positions: bool = False) -> Dict:
     """Tokenize one partition's docs, write its run + doc table atomically,
     commit the manifest row.  ``g`` must carry doc_key and content_sha256
-    columns.  Returns the metrics record."""
-    if sort_rows:
-        g = g.sort_values("doc_key", kind="mergesort")
+    columns; docIDs follow its row order.  Returns the metrics record."""
     g = g.reset_index(drop=True)
     doc_ids = (np.int64(pid) << DOC_BITS) | np.arange(len(g), dtype=np.int64)
 
@@ -280,14 +171,11 @@ def _index_partition_tables(g: pd.DataFrame, pid: int, out_dir: str,
     dls = np.fromiter((len(t) for t in toks_per_doc), dtype=np.int64,
                       count=n_g)
     run_table = partition_runs(toks_per_doc, dls, doc_ids, pid, positions)
-    meta_cols = [c for c in ("repo", "path", "commit", "lang", "source")
-                 if c in g.columns]
     doc_table = pa.table(
         {"doc_id": pa.array(doc_ids, pa.int64()),
          "doc_key": pa.array(g["doc_key"], pa.string()),
          "content_sha256": pa.array(g["content_sha256"], pa.string()),
-         "dl": pa.array(dls, pa.int64())} |
-        {c: pa.array(g[c]) for c in meta_cols})
+         "dl": pa.array(dls, pa.int64())})
 
     # write the run PRE-PARTITIONED by term shard: the merge stage then
     # reads shard s's slice of every partition directly from shared storage
@@ -820,72 +708,3 @@ def term_shard(terms: pa.ChunkedArray, num_shards: int) -> np.ndarray:
     """Deterministic term -> shard mapping (first 8 hex of sha256)."""
     return np.array([int(hashlib.sha256(t.encode()).hexdigest()[:8], 16) % num_shards
                      for t in terms.to_pylist()], dtype=np.int64)
-
-
-def build_index(ds: "ray.data.Dataset", out_dir: str, *,
-                text_col: str = "content",
-                key_cols: Optional[List[str]] = None,
-                tokenizer: str = "code",
-                num_partitions: int = 16,
-                num_shards: int = 8,
-                dedup: bool = True,
-                resume: bool = True,
-                positions: bool = False,
-                fail_pids: Optional[List[int]] = None,
-                partition_by: str = "sha") -> Dict:
-    """Build the inverted index for ``ds`` under ``out_dir``.
-
-    ``partition_by='doc_key'`` makes docIDs a function of the doc KEY
-    alone (see ``add_sha_and_partition``) — required for per-field BM25F
-    index families; incompatible with ``dedup``.
-
-    Returns build metrics {n_docs, dl_sum, avgdl, terms, partitions}.
-    """
-    if partition_by == "doc_key" and dedup:
-        raise ValueError("partition_by='doc_key' does not co-locate "
-                         "duplicate contents — build with dedup=False")
-    key_cols = key_cols or ["repo", "path", "commit"]
-    man = Manifest(out_dir, "build")
-    done = set(man.completed_partitions()) if resume else set()
-
-    prepared = ds.map_batches(
-        add_sha_and_partition, batch_format="pyarrow", zero_copy_batch=True,
-        fn_kwargs={"num_partitions": num_partitions, "text_col": text_col,
-                   "key_cols": key_cols, "partition_by": partition_by})
-    if done:
-        done_arr = list(done)
-        prepared = prepared.map_batches(
-            lambda t, d=done_arr: t.filter(
-                pc.invert(pc.is_in(t["pid"], value_set=pa.array(d, pa.int64())))),
-            batch_format="pyarrow")
-
-    indexer = make_partition_indexer(out_dir, tokenizer=tokenizer,
-                                     text_col=text_col, dedup=dedup,
-                                     num_shards=num_shards,
-                                     positions=positions,
-                                     fail_pids=fail_pids)
-    metrics = prepared.groupby("pid").map_groups(indexer, batch_format="pandas")
-    mdf = metrics.to_pandas()  # small: one row per partition
-
-    merge_runs(out_dir, num_shards)
-
-    # global stats from the manifest (associative: any completion order works)
-    recs = Manifest(out_dir, "build").all()
-    n_docs = sum(r["docs_seen"] for r in recs.values() if r["status"] == STATUS_INDEXED)
-    dl_sum = sum(r.get("dl_sum", 0) for r in recs.values() if r["status"] == STATUS_INDEXED)
-    stats = {"n_docs": int(n_docs), "dl_sum": int(dl_sum),
-             "avgdl": (dl_sum / n_docs) if n_docs else 0.0,
-             "tokenizer": tokenizer, "positions": positions,
-             "num_partitions": num_partitions, "num_shards": num_shards,
-             "dead_partitions": sorted(p for p, r in recs.items()
-                                       if r["status"] == STATUS_DEAD)}
-    from ..tokenize.analyzer import ANALYZER_CONFIGS
-    if tokenizer in ANALYZER_CONFIGS:
-        # schema-driven analyzer: persist the config so readers in
-        # other processes re-register it from stats alone (analyzer.py)
-        stats["analyzer_config"] = ANALYZER_CONFIGS[tokenizer]
-    atomic_write_bytes(os.path.join(out_dir, "stats.json"),
-                       json.dumps(stats).encode())
-    publish_epoch(out_dir)
-    stats["metrics"] = mdf.to_dict("records")
-    return stats

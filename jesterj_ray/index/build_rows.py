@@ -1,12 +1,9 @@
-"""Shuffle-free index build: partitions = parquet row-group ranges.
+"""The index build: partitions = parquet row-group ranges, no shuffle.
 
-The ``build.build_index`` path shuffles every document once (hash of the
-content sha) to co-locate exact duplicates and assign sha-partitioned
-docIDs.  When dedup is not fused into the build (or was done upstream by
-``stages.dedup.exact_dedup``), that shuffle is pure cost: document text is
-the dominant bytes and it crosses the object store once for nothing.
-
-This module is the scale path:
+``build_index_rows`` is the one build entry point.  Dedup at ingest is
+a separate step before it: ``stages.dedup.exact_dedup_parquet`` writes
+the survivors to parquet, and this build indexes those files.  Document
+text is the dominant bytes, so it never crosses the object store here.
 
 - partitions are planned DRIVER-SIDE from parquet METADATA only (file,
   row-group ranges, ~``docs_per_partition`` rows each) — deterministic for
@@ -18,7 +15,7 @@ This module is the scale path:
 - resume filters the partition list BEFORE reading: committed partitions
   cost nothing, not even input IO;
 - stage 2 (tiny): merge runs into term-sharded segments — the only
-  exchange, over per-(term, partition) aggregates, reused from ``build``;
+  exchange, over per-(term, partition) aggregates (``build.merge_runs``);
   planned in the driver, so a no-op resume starts no Ray job.
 
 docID = pid << 32 | row_in_partition (file/row order), so docIDs ascend
@@ -178,7 +175,7 @@ def make_row_indexer(out_dir: str, *, tokenizer: str, text_col: str,
                 fingerprint = _part_fingerprint(part)
                 rec = _index_partition_tables(
                     g, pid, out_dir, tok, text_col,
-                    sort_rows=False, fingerprint=fingerprint,
+                    fingerprint=fingerprint,
                     attempt=attempt, manifest=man, num_shards=num_shards,
                     positions=positions)
                 out_rows.append(rec)
@@ -296,8 +293,7 @@ def _make_partition_differ(out_dir: str, *, text_col: str,
                     ("|".join(ch["doc_key"]) + f"#{len(ch)}").encode()
                 ).hexdigest()
                 _index_partition_tables(ch, delta_pid, out_dir, tok,
-                                        text_col, sort_rows=False,
-                                        fingerprint=fp, attempt=1,
+                                        text_col, fingerprint=fp, attempt=1,
                                         manifest=man,
                                         num_shards=num_shards,
                                         positions=positions)

@@ -142,8 +142,8 @@ def _load_segment_core(index_dir: str, relpath: str) -> dict:
 
 
 class IndexReader:
-    """Reads one on-disk index: a build (``build_rows.build_index_rows``
-    or ``build.build_index``), its deltas and compactions, or a serving
+    """Reads one on-disk index: a build (``build_rows.build_index_rows``),
+    its deltas and compactions, or a serving
     slice dir from ``repartition.repartition_for_serving``.
 
     ``open_stats`` lists the relpaths of the docs/segment files this

@@ -8,13 +8,14 @@ oracle can verify the full distributed pipeline: tokenize -> partition ->
 posting runs -> merge -> segments -> BM25 top-k.
 
 The code corpus flagship (``corpus_index_pipeline``) uses the CODE
-tokenizer (camelCase/snake_case identifier splitting) + sha256 dedup and
-is verified in pytest against the in-repo brute-force oracle.
+tokenizer (camelCase/snake_case identifier splitting) after sha256
+dedup at ingest (``exact_dedup_parquet``) and is verified in pytest
+against the in-repo brute-force oracle.  Every index here is built by
+``build_index_rows``.
 """
 
 from __future__ import annotations
 
-import glob
 import hashlib
 import os
 import re
@@ -29,7 +30,6 @@ import pyarrow.compute as pc
 import ray
 import ray.data as rd
 
-from ..index.build import build_index
 from ..index.build_rows import build_index_rows
 from ..index.query import IndexReader, QueryActor
 
@@ -59,27 +59,17 @@ def _cache_dir(sf_dir: str, tag: str) -> str:
 def documents_index(sf_dir: str, *, rebuild: bool = False) -> str:
     """Build (or reuse) the simple-tokenizer index over documents.parquet.
 
-    dedup=False because the SQL oracle scores the raw table.  doc_key is
-    the zero-padded doc_id so engine order == numeric doc_id order.
-    Returns the index directory."""
-    out = _cache_dir(sf_dir, "docidx3")
+    No dedup: the SQL oracle scores the raw table.  doc_key is the
+    12-digit zero-padded doc_id, and docIDs ascend with doc_id (the
+    oracles' tie order).  Returns the index directory."""
+    out = _cache_dir(sf_dir, "docidx4")
     marker = os.path.join(out, "stats.json")
     if rebuild and os.path.isdir(out):
         shutil.rmtree(out)
     if not os.path.exists(marker):
-        # the test parquet files are tiny; without override Ray splits them
-        # into O(100) sub-MB blocks and per-task overhead dominates.  At
-        # real scale the default (target_max_block_size) sizing is correct.
-        ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                             columns=["doc_id", "text"],
-                             override_num_blocks=8)
-        ds = ds.map_batches(
-            lambda t: t.append_column(
-                "doc_key", pc.utf8_lpad(pc.cast(t["doc_id"], pa.string()),
-                                        width=12, padding="0")),
-            batch_format="pyarrow")
-        build_index(ds, out, text_col="text", tokenizer="simple",
-                    num_partitions=8, num_shards=4, dedup=False)
+        build_index_rows(os.path.join(sf_dir, "documents.parquet"), out,
+                         text_col="text", key_col="doc_id",
+                         tokenizer="simple", num_shards=4)
     return out
 
 
@@ -773,43 +763,47 @@ def _split_title_body(t: pa.Table) -> pa.Table:
     })
 
 
-def bm25f_split_parquet(sf_dir: str) -> str:
-    """Materialize the title/body/text split of documents.parquet (one
-    file per source row-range partition, written in parallel Ray tasks
-    with temp+replace — deterministic bytes, resumable per part).  The
-    split is the field family's INPUT: both field builds and every
-    later family delta read it, so it's derived once, not per field."""
+def _derive_documents(sf_dir: str, tag: str, fn) -> List[str]:
+    """Materialize ``fn`` over documents.parquet: one file per source
+    row-range partition (``doc_id``/``text`` columns in, ~1024 rows,
+    planned from metadata) under the ``tag`` cache dir, written in
+    parallel Ray tasks with temp+replace — deterministic bytes,
+    resumable per part.  Returns the files, sorted."""
     from ..index.build_rows import plan_row_partitions
-    split_dir = _cache_dir(sf_dir, "docidxf3-split")
-    src = os.path.join(sf_dir, "documents.parquet")
-    parts = plan_row_partitions([src], docs_per_partition=1024)
-    todo = [p for p in parts if not os.path.exists(
-        os.path.join(split_dir, f"split-{int(p['pid']):05d}.parquet"))]
-    if not todo:
-        return split_dir
-    os.makedirs(split_dir, exist_ok=True)
+    from ..state.manifest import atomic_write_table
+    out_dir = _cache_dir(sf_dir, tag)
+    parts = plan_row_partitions([os.path.join(sf_dir, "documents.parquet")],
+                                docs_per_partition=1024)
+    paths = [os.path.join(out_dir, f"split-{int(p['pid']):05d}.parquet")
+             for p in parts]
+    todo = [p | {"dst": d} for p, d in zip(parts, paths)
+            if not os.path.exists(d)]
 
     def write_part(batch: pd.DataFrame) -> pd.DataFrame:
         import pyarrow.parquet as _pq
         pa.set_cpu_count(1)
-        pids = []
         for _, p in batch.iterrows():
-            dst = os.path.join(split_dir,
-                               f"split-{int(p['pid']):05d}.parquet")
-            if os.path.exists(dst):
-                continue
             t = _pq.ParquetFile(p["path"]).read_row_groups(
                 list(p["row_groups"]), columns=["doc_id", "text"])
-            st = _split_title_body(t).append_column("text", t["text"])
-            tmp = f"{dst}.tmp.{os.getpid()}"
-            _pq.write_table(st, tmp, row_group_size=4096)
-            os.replace(tmp, dst)
-            pids.append(int(p["pid"]))
-        return pd.DataFrame({"pid": pids})
+            atomic_write_table(p["dst"], fn(t), row_group_size=4096)
+        return pd.DataFrame({"pid": batch["pid"]})
 
-    rd.from_items(todo, override_num_blocks=len(todo)).map_batches(
-        write_part, batch_format="pandas", batch_size=1).materialize()
-    return split_dir
+    if todo:
+        rd.from_items(todo, override_num_blocks=len(todo)).map_batches(
+            write_part, batch_format="pandas", batch_size=1).materialize()
+    return paths
+
+
+def _title_body_text(t: pa.Table) -> pa.Table:
+    return _split_title_body(t).append_column("text", t["text"])
+
+
+def bm25f_split_parquet(sf_dir: str) -> List[str]:
+    """The title/body/text split of documents.parquet, materialized once
+    (``_derive_documents``).  The split is the field family's INPUT:
+    both field builds and every later family delta read it, so it's
+    derived once, not per field.  Returns its files, sorted."""
+    return _derive_documents(sf_dir, "docidxf3-split", _title_body_text)
 
 
 def documents_bm25f_indexes(sf_dir: str) -> dict:
@@ -827,8 +821,7 @@ def documents_bm25f_indexes(sf_dir: str) -> dict:
     if all(os.path.exists(os.path.join(d, "stats.json"))
            for d in dirs.values()):
         return dirs
-    split_dir = bm25f_split_parquet(sf_dir)
-    paths = sorted(glob.glob(os.path.join(split_dir, "split-*.parquet")))
+    paths = bm25f_split_parquet(sf_dir)
     for field, out in dirs.items():
         if os.path.exists(os.path.join(out, "stats.json")):
             continue
@@ -1104,16 +1097,23 @@ def term_postings(sf_dir: str, term: str = "merge") -> pd.DataFrame:
 def corpus_index_pipeline(n_rows: int = 500, *, out_dir: Optional[str] = None,
                           num_partitions: int = 8, num_shards: int = 4,
                           queries: Optional[List[dict]] = None) -> pd.DataFrame:
-    """The code-corpus flagship: synthesize the input_hint corpus, build the
-    code-tokenizer index with sha256 dedup, answer the reference query set.
-    Returns (qid, rank, doc_key, score)."""
+    """The code-corpus flagship: synthesize the input_hint corpus, dedup
+    it at ingest (sha256 keep-first by ``doc_key`` = repo:path:commit,
+    one parquet file per sha group, ``<out>-input``), build the
+    code-tokenizer index over the survivors, answer the reference query
+    set.  Returns (qid, rank, doc_key, score)."""
     from ..sources.corpus import REFERENCE_QUERIES, generate_corpus
-    out = out_dir or f"/tmp/jjray_cache/corpus-v3-{n_rows}"
-    ds = rd.from_arrow(generate_corpus(n_rows, seed=42))
+    from ..stages.dedup import exact_dedup_parquet
+    out = out_dir or f"/tmp/jjray_cache/corpus-v4-{n_rows}"
     if not os.path.exists(os.path.join(out, "stats.json")):
-        build_index(ds, out, text_col="content", tokenizer="code",
-                    num_partitions=num_partitions, num_shards=num_shards,
-                    dedup=True)
+        t = generate_corpus(n_rows, seed=42)
+        t = t.append_column("doc_key", pc.binary_join_element_wise(
+            t["repo"], t["path"], t["commit"], ":"))
+        paths = exact_dedup_parquet(rd.from_arrow(t), out + "-input",
+                                    field="content", order_col="doc_key",
+                                    num_groups=num_partitions)
+        build_index_rows(paths, out, text_col="content", key_col="doc_key",
+                         tokenizer="code", num_shards=num_shards)
     qs = queries or REFERENCE_QUERIES
     qds = rd.from_arrow(pa.table({
         "qid": pa.array([q["qid"] for q in qs], pa.int64()),
@@ -1386,18 +1386,16 @@ def _make_children(t: pa.Table) -> pa.Table:
 
 
 def documents_children_index(sf_dir: str) -> str:
-    """Build (or reuse) the child-paragraph index.  Empty documents
-    contribute no children, so the child corpus' N is exactly the
-    oracle's count of (doc_id, pidx) groups."""
-    out = _cache_dir(sf_dir, "docidx-child1")
-    marker = os.path.join(out, "stats.json")
-    if not os.path.exists(marker):
-        ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
-                             columns=["doc_id", "text"],
-                             override_num_blocks=8)
-        ds = ds.map_batches(_make_children, batch_format="pyarrow")
-        build_index(ds, out, text_col="text", tokenizer="simple",
-                    num_partitions=8, num_shards=4, dedup=False)
+    """Build (or reuse) the child-paragraph index over the children
+    materialized by ``_derive_documents``.  Empty documents contribute
+    no children, so the child corpus' N is exactly the oracle's count
+    of (doc_id, pidx) groups."""
+    out = _cache_dir(sf_dir, "docidx-child2")
+    if not os.path.exists(os.path.join(out, "stats.json")):
+        paths = _derive_documents(sf_dir, "docidx-child2-split",
+                                  _make_children)
+        build_index_rows(paths, out, text_col="text", key_col="doc_key",
+                         tokenizer="simple", num_shards=4)
     return out
 
 

@@ -2115,10 +2115,25 @@ def q10_returned_items(sf_dir: str, *, num_groups: int = 32,
         .groupby("gkey").map_groups(resolve, batch_format="pyarrow") \
         .groupby("o_custkey").sum("m")
 
+    # the oracle INNER-joins customer and nation: a custkey with no
+    # customer row, or whose nation is missing, never ranks (the next
+    # customer takes its place).  The valid custkeys broadcast once as
+    # a sorted int64 array — ids only, a dimension
+    import pyarrow.parquet as pq
+    cu = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
+                       columns=["c_custkey", "c_name", "c_nationkey"])
+    na = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
+                       columns=["n_nationkey", "n_name"])
+    cu = cu.filter(pc.is_in(cu["c_nationkey"], value_set=na["n_nationkey"]))
+    valid_ref = ray.put(np.unique(cu["c_custkey"].to_numpy(
+        zero_copy_only=False).astype(np.int64)))
+
     def block_topk(t: pa.Table) -> pa.Table:
         ck = t["o_custkey"].to_numpy(zero_copy_only=False) \
             .astype(np.int64)
         m = t["sum(m)"].to_numpy(zero_copy_only=False).astype(np.int64)
+        keep = np.isin(ck, ray.get(valid_ref))
+        ck, m = ck[keep], m[keep]
         # rank in CENTS — the oracle's ORDER BY key: a micros-space
         # tiebreak could pick a different customer at the k boundary
         # when two revenues round to the same cent (r05 self-review)
@@ -2139,13 +2154,8 @@ def q10_returned_items(sf_dir: str, *, num_groups: int = 32,
     df = df.sort_values(["cents", "o_custkey"], ascending=[False, True],
                         kind="mergesort").head(k)
 
-    import pyarrow.parquet as pq
     winners = pa.array(df["o_custkey"].to_numpy(np.int64))
-    cu = pq.read_table(os.path.join(sf_dir, "customer.parquet"),
-                       columns=["c_custkey", "c_name", "c_nationkey"])
     cu = cu.filter(pc.is_in(cu["c_custkey"], value_set=winners))
-    na = pq.read_table(os.path.join(sf_dir, "nation.parquet"),
-                       columns=["n_nationkey", "n_name"])
     nidx = pc.index_in(cu["c_nationkey"], value_set=na["n_nationkey"])
     cmap = {int(c): (nm, nn) for c, nm, nn in zip(
         cu["c_custkey"].to_pylist(), cu["c_name"].to_pylist(),

@@ -41,15 +41,13 @@ import ray
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from ..ann.knn import list_vectors
+
 
 def _normalize(m: np.ndarray) -> np.ndarray:
     n = np.linalg.norm(m, axis=1, keepdims=True)
     n[n == 0] = 1.0
     return m / n
-
-
-def _block_vecs(t: pa.Table, vec_field: str) -> np.ndarray:
-    return np.asarray(t[vec_field].to_pylist(), dtype=np.float64)
 
 
 def _assign(vecs: np.ndarray, cents: np.ndarray) -> np.ndarray:
@@ -85,7 +83,7 @@ def kmeans_embeddings(sf_dir: str, *, k: int = 8, iters: int = 4,
 
         def partials(t: pa.Table) -> pa.Table:
             c = ray.get(c_ref)
-            vecs = _block_vecs(t, vec_field)
+            vecs = list_vectors(t[vec_field], np.float64)
             if vecs.size == 0:
                 return pa.table({"cluster": pa.array([], pa.int64()),
                                  "dim": pa.array([], pa.int64()),
@@ -126,7 +124,7 @@ def kmeans_embeddings(sf_dir: str, *, k: int = 8, iters: int = 4,
 
     def final_assign(t: pa.Table) -> pa.Table:
         c = ray.get(c_ref)
-        vecs = _block_vecs(t, vec_field)
+        vecs = list_vectors(t[vec_field], np.float64)
         ids = t[id_field].to_numpy(zero_copy_only=False).astype(np.int64)
         if vecs.size == 0:
             return pa.table({"vec_id": pa.array([], pa.int64()),

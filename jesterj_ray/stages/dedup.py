@@ -26,6 +26,7 @@ moves O(rows x bands) small rows, not content; content never shuffles.
 from __future__ import annotations
 
 import hashlib
+import os
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -48,6 +49,38 @@ def add_sha256(batch: pa.Table, *, field: str, out_field: str = "content_sha256"
     return batch.append_column(out_field, shas)
 
 
+def _local_first(batch: pa.Table, *, order_col: str,
+                 num_groups: int) -> pa.Table:
+    """Per-batch keep-first (shrinks the exchange; associative with the
+    global min) plus each survivor's coarse group key ``__gkey`` (first
+    8 hex of its content sha mod ``num_groups``: equal content always
+    shares a group)."""
+    df = batch.select(["content_sha256", order_col]).to_pandas()
+    idx = df.groupby("content_sha256", sort=False)[order_col].idxmin()
+    batch = batch.take(pa.array(sorted(idx), pa.int64()))
+    g = np.fromiter((int(s[:8], 16) for s in
+                     batch["content_sha256"].to_pylist()),
+                    dtype=np.int64, count=batch.num_rows) % num_groups
+    return batch.append_column("__gkey", pa.array(g, pa.int64()))
+
+
+def _keep_first(g: pd.DataFrame, *, order_col: str) -> pd.DataFrame:
+    """One ``__gkey`` group's global keep-first: min ``order_col`` per
+    content sha."""
+    idx = g.groupby("content_sha256", sort=False)[order_col].idxmin()
+    return g.loc[np.sort(idx.to_numpy())].drop(columns="__gkey")
+
+
+def _sha_groups(ds: "ray.data.Dataset", field: str, order_col: str,
+                num_groups: int):
+    return ds.map_batches(add_sha256, batch_format="pyarrow",
+                          fn_kwargs={"field": field}) \
+        .map_batches(_local_first, batch_format="pyarrow",
+                     fn_kwargs={"order_col": order_col,
+                                "num_groups": num_groups}) \
+        .groupby("__gkey")
+
+
 def exact_dedup(ds: "ray.data.Dataset", *, field: str, order_col: str,
                 keep_cols: Optional[List[str]] = None,
                 num_groups: int = 64) -> "ray.data.Dataset":
@@ -60,32 +93,45 @@ def exact_dedup(ds: "ray.data.Dataset", *, field: str, order_col: str,
     exchange (associative with the global min); (2) survivors hash-shuffle
     on a coarse group key derived from the content sha — equal content
     always shares a gkey, so (3) ONE vectorized keep-min(order) pass per
-    group is global dedup, same shape as the fused build path
-    (index/build.py _index_partition).  ``num_groups`` bounds per-group
+    group is global dedup.  ``num_groups`` bounds per-group
     memory (group ≈ surviving-rows/num_groups); raise it with the cluster
     (the 100-TB setting is ~30k, matching build partitions)."""
-
-    hashed = ds.map_batches(add_sha256, batch_format="pyarrow",
-                            fn_kwargs={"field": field})
-
-    def local_first(batch: pa.Table) -> pa.Table:
-        df = batch.select(["content_sha256", order_col]).to_pandas()
-        idx = df.groupby("content_sha256", sort=False)[order_col].idxmin()
-        batch = batch.take(pa.array(sorted(idx), pa.int64()))
-        g = np.fromiter((int(s[:8], 16) for s in
-                         batch["content_sha256"].to_pylist()),
-                        dtype=np.int64, count=batch.num_rows) % num_groups
-        return batch.append_column("__gkey", pa.array(g, pa.int64()))
-
-    def keep_first(g: pd.DataFrame) -> pd.DataFrame:
-        idx = g.groupby("content_sha256", sort=False)[order_col].idxmin()
-        return g.loc[np.sort(idx.to_numpy())].drop(columns="__gkey")
-
-    out = hashed.map_batches(local_first, batch_format="pyarrow") \
-        .groupby("__gkey").map_groups(keep_first, batch_format="pandas")
+    out = _sha_groups(ds, field, order_col, num_groups).map_groups(
+        _keep_first, batch_format="pandas",
+        fn_kwargs={"order_col": order_col})
     if keep_cols:
         out = out.select_columns(keep_cols)
     return out
+
+
+def exact_dedup_parquet(ds: "ray.data.Dataset", out_dir: str, *,
+                        field: str, order_col: str,
+                        num_groups: int = 64) -> List[str]:
+    """Dedup at ingest, written for the index build: ``exact_dedup``'s
+    keep-first per ``__gkey`` group, each group's survivors (input
+    columns only) sorted by ``order_col`` and written with temp +
+    ``os.replace`` to ``out_dir/part-{gkey:05d}.parquet``.
+
+    Returns the written paths, sorted.  ``build_index_rows(paths,
+    key_col=order_col, ...)`` then indexes them: a partition per file
+    and docID = pid << 32 | rank in ``order_col`` order, where pid is
+    the group's rank among non-empty groups.  Both come from the input
+    alone, and the files are byte-identical however ``ds`` is split
+    into blocks."""
+    from ..state.manifest import atomic_write_table
+
+    def write_group(g: pd.DataFrame) -> pd.DataFrame:
+        path = os.path.join(out_dir,
+                            f"part-{int(g['__gkey'].iloc[0]):05d}.parquet")
+        g = _keep_first(g, order_col=order_col) \
+            .drop(columns="content_sha256") \
+            .sort_values(order_col, kind="mergesort")
+        atomic_write_table(path, pa.Table.from_pandas(g, preserve_index=False))
+        return pd.DataFrame({"path": [path]})
+
+    written = _sha_groups(ds, field, order_col, num_groups).map_groups(
+        write_group, batch_format="pandas").to_pandas()
+    return sorted(written["path"]) if len(written) else []
 
 
 # ---- MinHash + LSH ----

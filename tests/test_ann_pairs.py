@@ -7,7 +7,7 @@ import pytest
 
 import ray.data as rd
 from jesterj_ray.ann.knn import (_normalize, embedding_near_dup_pairs,
-                                 lsh_embedding_near_dup_pairs)
+                                 list_vectors, lsh_embedding_near_dup_pairs)
 
 
 @pytest.fixture(scope="module")
@@ -63,3 +63,29 @@ def test_lsh_near_dup_recall(vectors):
     # emitted cosines are exact
     merged = got.merge(want, on=["id_a", "id_b"], suffixes=("", "_w"))
     assert np.allclose(merged["cosine"], merged["cosine_w"], atol=1e-9)
+
+
+def test_list_vectors_decodes_like_pylist():
+    """The one vector decoder is bit-identical to the per-value
+    ``np.asarray(to_pylist())`` decode, on chunked and sliced float32
+    and float64 columns, and refuses rows a flatten would misalign."""
+    rng = np.random.default_rng(9)
+    for src in (np.float32, np.float64):
+        m = rng.standard_normal((40, 6)).astype(src)
+        col = pa.chunked_array([pa.array(m[:15].tolist(),
+                                         pa.list_(pa.from_numpy_dtype(src))),
+                                pa.array(m[15:].tolist(),
+                                         pa.list_(pa.from_numpy_dtype(src)))])
+        for c in (col, col.slice(7, 20)):
+            for dt in (np.float32, np.float64):
+                want = np.asarray(c.to_pylist(), dtype=dt)
+                got = list_vectors(c, dt)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+    assert list_vectors(pa.array([], pa.list_(pa.float32())),
+                        np.float32).shape == (0, 0)
+    assert list_vectors(pa.array([], pa.list_(pa.float32(), 4)),
+                        np.float64).shape == (0, 4)
+    for bad in ([[1.0, 2.0], None], [[1.0, 2.0], [3.0]]):
+        with pytest.raises(ValueError):
+            list_vectors(pa.array(bad, pa.list_(pa.float64())), np.float64)

@@ -2,19 +2,19 @@
 
 Pins: per-field tf normalization combined BEFORE saturation, document-level
 idf (any-field df), title weight 2x, the shared-doc-space requirement
-(partition_by='doc_key'), and the title/body derivation used by the
-flagship pipeline."""
+(every field built from one split parquet with the same row partitions),
+and the title/body derivation used by the flagship pipeline."""
 import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.parquet as pq
 import pytest
 
-import ray.data as rd
 from jesterj_ray.index.bm25 import dedup_keep_order, idf
 from jesterj_ray.index.bm25f import (DEFAULT_B, DEFAULT_WEIGHTS, K1,
                                      BM25FReader)
-from jesterj_ray.index.build import build_index
+from jesterj_ray.index.build_rows import build_index_rows
 from jesterj_ray.pipelines.flagship import (BM25F_TITLE_TOKENS,
                                             _split_title_body)
 from jesterj_ray.tokenize.tokenizer import simple_tokenize
@@ -67,18 +67,37 @@ def brute_bm25f(table: pa.Table, query: str, k: int):
     return sorted(scores.items(), key=lambda kv: (-kv[1], kv[0]))[:k]
 
 
+def write_split(table: pa.Table, path: str, rows_per_group: int) -> str:
+    """The title/body/text split of ``table`` as one parquet file."""
+    split = _split_title_body(table).append_column("text", table["text"])
+    pq.write_table(split, path, row_group_size=rows_per_group)
+    return path
+
+
+def build_rows(src: str, out: str, text_col: str, docs_per_partition: int,
+               **kw) -> str:
+    build_index_rows(src, out, text_col=text_col, key_col="doc_id",
+                     tokenizer="simple",
+                     docs_per_partition=docs_per_partition, num_shards=2,
+                     **kw)
+    return out
+
+
+def text_index(table: pa.Table, d) -> str:
+    """Single-field index over ``table``'s full text, in dir ``d``."""
+    src = str(d / "docs.parquet")
+    pq.write_table(table, src, row_group_size=30)
+    return build_rows(src, str(d / "idx"), "text", 30)
+
+
 @pytest.fixture(scope="module")
 def field_indexes(ray_session, tmp_path_factory):
     table = make_docs()
-    split = rd.from_arrow(table).map_batches(_split_title_body,
-                                             batch_format="pyarrow")
-    dirs = {}
-    for f in ("title", "body"):
-        out = str(tmp_path_factory.mktemp(f"bm25f-{f}"))
-        build_index(split, out, text_col=f, tokenizer="simple",
-                    num_partitions=4, num_shards=2, dedup=False,
-                    partition_by="doc_key")
-        dirs[f] = out
+    src = write_split(table, str(tmp_path_factory.mktemp("bm25f-split") /
+                                 "split.parquet"), 30)
+    dirs = {f: build_rows(src, str(tmp_path_factory.mktemp(f"bm25f-{f}")),
+                          f, 30, change_col="text")
+            for f in ("title", "body")}
     return table, dirs
 
 
@@ -129,29 +148,16 @@ def test_title_only_and_body_only_terms(field_indexes):
     assert (dls == 0).any()
 
 
-def test_doc_space_guard(ray_session, tmp_path_factory):
-    """A field index built with content-hash partitioning (the default)
-    has a different doc space — BM25FReader must refuse it."""
-    table = make_docs(n=40, seed=3)
-    split = rd.from_arrow(table).map_batches(_split_title_body,
-                                             batch_format="pyarrow")
-    good = str(tmp_path_factory.mktemp("bm25f-good"))
-    bad = str(tmp_path_factory.mktemp("bm25f-bad"))
-    build_index(split, good, text_col="title", tokenizer="simple",
-                num_partitions=4, num_shards=2, dedup=False,
-                partition_by="doc_key")
-    build_index(split, bad, text_col="body", tokenizer="simple",
-                num_partitions=4, num_shards=2, dedup=False)  # sha pids
+def test_doc_space_guard(ray_session, tmp_path):
+    """A field index built from the same split with other row partitions
+    (4 pids of 10 docs vs 2 of 20) has a different doc space —
+    BM25FReader must refuse it."""
+    src = write_split(make_docs(n=40, seed=3),
+                      str(tmp_path / "split.parquet"), 10)
+    good = build_rows(src, str(tmp_path / "good"), "title", 10)
+    bad = build_rows(src, str(tmp_path / "bad"), "body", 20)
     with pytest.raises(ValueError, match="doc space"):
         BM25FReader({"title": good, "body": bad})
-
-
-def test_dedup_rejects_doc_key_partitioning(ray_session, tmp_path):
-    table = make_docs(n=10)
-    with pytest.raises(ValueError, match="dedup"):
-        build_index(rd.from_arrow(table), str(tmp_path / "x"),
-                    text_col="text", tokenizer="simple", dedup=True,
-                    partition_by="doc_key")
 
 
 @pytest.fixture(scope="module")
@@ -248,15 +254,9 @@ def test_topk_boosted_semantics(field_indexes, tmp_path_factory):
     """boost=1 everywhere == plain topk (identical floats); boosting a
     term strictly raises every matching doc's score by (boost-1) x that
     term's contribution."""
-    from jesterj_ray.index.build import build_index
     from jesterj_ray.index.query import IndexReader
     table, _ = field_indexes
-    out = str(tmp_path_factory.mktemp("boostidx"))
-    split = rd.from_arrow(table).map_batches(
-        lambda t: t.append_column("doc_key", t["doc_id"].cast(pa.string())),
-        batch_format="pyarrow")
-    build_index(split, out, text_col="text", tokenizer="simple",
-                num_partitions=4, num_shards=2, dedup=False)
+    out = text_index(table, tmp_path_factory.mktemp("boostidx"))
     r = IndexReader(out)
     assert r.topk_boosted("merge sort", 10) == r.topk("merge sort", 10)
     plain = dict(r.topk("merge sort", 10_000))
@@ -298,15 +298,9 @@ def test_topk_prefix_semantics(field_indexes, tmp_path_factory):
     """Prefix expansion matches a brute scan of the vocabulary (sorted,
     capped), scoring equals the disjunctive scorer over exactly those
     terms, and a no-match prefix returns empty."""
-    from jesterj_ray.index.build import build_index
     from jesterj_ray.index.query import IndexReader
     table, _ = field_indexes
-    out = str(tmp_path_factory.mktemp("prefixidx"))
-    split = rd.from_arrow(table).map_batches(
-        lambda t: t.append_column("doc_key", t["doc_id"].cast(pa.string())),
-        batch_format="pyarrow")
-    build_index(split, out, text_col="text", tokenizer="simple",
-                num_partitions=4, num_shards=2, dedup=False)
+    out = text_index(table, tmp_path_factory.mktemp("prefixidx"))
     r = IndexReader(out)
     vocab = set()
     for txt in table["text"].to_pylist():
@@ -327,15 +321,9 @@ def test_topk_prefix_semantics(field_indexes, tmp_path_factory):
 
 def test_terms_within_edits(field_indexes, tmp_path_factory):
     """Fuzzy expansion == brute Levenshtein scan of the vocabulary."""
-    from jesterj_ray.index.build import build_index
     from jesterj_ray.index.query import IndexReader, _edit_distance_leq
     table, _ = field_indexes
-    out = str(tmp_path_factory.mktemp("fuzzyidx"))
-    split = rd.from_arrow(table).map_batches(
-        lambda t: t.append_column("doc_key", t["doc_id"].cast(pa.string())),
-        batch_format="pyarrow")
-    build_index(split, out, text_col="text", tokenizer="simple",
-                num_partitions=4, num_shards=2, dedup=False)
+    out = text_index(table, tmp_path_factory.mktemp("fuzzyidx"))
     r = IndexReader(out)
     vocab = set()
     for txt in table["text"].to_pylist():

@@ -1,17 +1,21 @@
 """Index correctness vs the brute-force oracle (FIXTURES.md tests 1,2,4,6,8)."""
 import hashlib
+import os
 import shutil
 
 import numpy as np
 import pandas as pd
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 import pytest
 
 import ray.data as rd
 from jesterj_ray.index.bm25 import BruteForceIndex
-from jesterj_ray.index.build import DOC_BITS, build_index
+from jesterj_ray.index.build import DOC_BITS
+from jesterj_ray.index.build_rows import build_index_rows
 from jesterj_ray.index.query import IndexReader
-from jesterj_ray.sources.corpus import REFERENCE_QUERIES, generate_corpus
+from jesterj_ray.sources.corpus import REFERENCE_QUERIES
+from jesterj_ray.stages.dedup import exact_dedup_parquet
 from jesterj_ray.tokenize.tokenizer import code_tokenize
 
 
@@ -34,11 +38,25 @@ def oracle_doc_assignment(t, num_partitions=8, dedup=True):
     return pd.concat(parts)
 
 
+def build_deduped(corpus, out, blocks=8):
+    """Dedup at ingest, then the row build: ``exact_dedup_parquet`` into
+    8 sha groups (one part file each), indexed with ``doc_key`` order
+    inside each file.  Returns (stats, part file paths)."""
+    keyed = corpus.append_column("doc_key", pc.binary_join_element_wise(
+        corpus["repo"], corpus["path"], corpus["commit"], ":"))
+    paths = exact_dedup_parquet(rd.from_arrow(keyed).repartition(blocks),
+                                out + "-input", field="content",
+                                order_col="doc_key", num_groups=8)
+    stats = build_index_rows(paths, out, text_col="content",
+                             key_col="doc_key", tokenizer="code",
+                             num_shards=4)
+    return stats, paths
+
+
 @pytest.fixture(scope="module")
 def built(small_corpus, tmp_path_factory):
     out = str(tmp_path_factory.mktemp("idx"))
-    stats = build_index(rd.from_arrow(small_corpus), out, tokenizer="code",
-                        num_partitions=8, num_shards=4, dedup=True)
+    stats, _ = build_deduped(small_corpus, out)
     return out, stats
 
 
@@ -110,16 +128,24 @@ def test_topk_matches_oracle_at_every_k(built, oracle):
                 assert s1 == pytest.approx(s2, abs=1e-9)
 
 
-def test_deterministic_rebuild(small_corpus, tmp_path):
-    """Same corpus -> byte-identical segment contents at different
-    partition-group execution orders (parallelism invariance is evidenced
-    cross-process by bench.py --scaling; here we assert rebuild identity)."""
+def test_deterministic_rebuild(small_corpus, oracle, tmp_path):
+    """Dedup at ingest is a function of the input alone: inputs split
+    into 2 and into 7 blocks write byte-identical part files, build
+    identical postings, and give the oracle's docIDs (parallelism
+    invariance is evidenced cross-process by bench.py --scaling)."""
+    _, bf = oracle
     a, b = str(tmp_path / "a"), str(tmp_path / "b")
-    for out in (a, b):
-        build_index(rd.from_arrow(small_corpus), out, tokenizer="code",
-                    num_partitions=8, num_shards=4, dedup=True)
+    _, parts_a = build_deduped(small_corpus, a, blocks=2)
+    _, parts_b = build_deduped(small_corpus, b, blocks=7)
+    assert len(parts_a) == 8
+    assert [os.path.basename(p) for p in parts_a] == \
+        [os.path.basename(p) for p in parts_b]
+    for x, y in zip(parts_a, parts_b):
+        assert open(x, "rb").read() == open(y, "rb").read(), x
     ra, rb = IndexReader(a), IndexReader(b)
     for q in REFERENCE_QUERIES:
+        want = [d for d, _ in bf.topk(q["query"], q["k"])]
+        assert [d for d, _ in ra.topk(q["query"], q["k"])] == want, q
         assert ra.topk(q["query"], q["k"]) == rb.topk(q["query"], q["k"])
     for term in ("import", "return", "parse"):
         da, ta = ra.postings(term)
@@ -212,13 +238,7 @@ def test_chunked_hot_term_merge(small_corpus, tmp_path):
     """A tiny chunk_target forces hot terms into multiple (term, chunk)
     segment rows; queries must be identical to the single-chunk index
     (bounded-memory merge for 10^12-doc hot terms)."""
-    import os
-    import pyarrow.parquet as pq
-    import ray.data as rd
-    from jesterj_ray.index.build import (make_partition_indexer, merge_runs,
-                                         add_sha_and_partition)
-    from jesterj_ray.index.build_rows import build_index_rows
-    import pyarrow as _pa
+    from jesterj_ray.index.build import merge_runs
 
     src = str(tmp_path / "corpus.parquet")
     pq.write_table(small_corpus, src, row_group_size=64)
@@ -226,7 +246,6 @@ def test_chunked_hot_term_merge(small_corpus, tmp_path):
     build_index_rows(src, a, text_col="content", tokenizer="code",
                      docs_per_partition=64, num_shards=4)
     # second build with a 50-posting chunk target
-    from jesterj_ray.index import build as build_mod
     build_index_rows(src, b, text_col="content", tokenizer="code",
                      docs_per_partition=64, num_shards=4)
     # re-merge b with tiny chunks

@@ -5,21 +5,43 @@ import json
 import os
 
 import numpy as np
+import pyarrow.parquet as pq
 import pytest
 
-import ray.data as rd
-from jesterj_ray.index.build import build_index
+from jesterj_ray.index.build_rows import build_index_rows
 from jesterj_ray.index.query import IndexReader
-from jesterj_ray.sources.corpus import REFERENCE_QUERIES, generate_corpus
+from jesterj_ray.sources.corpus import REFERENCE_QUERIES
 from jesterj_ray.state.manifest import Manifest, STATUS_DEAD, STATUS_INDEXED
 
 
-def test_resume_after_injected_failure(small_corpus, tmp_path):
+@pytest.fixture
+def build(small_corpus, tmp_path):
+    """Row build of ``small_corpus`` written in 8 row groups of 38 rows:
+    8 partitions, pids 0-7.  Ray Data runs one task at a time here, in
+    pid order: the partitions before a failing pid commit, and no task of
+    a failed build is still running (and writing files) when the next
+    build starts."""
+    from ray.data import DataContext, ExecutionResources
+    src = str(tmp_path / "corpus.parquet")
+    pq.write_table(small_corpus, src, row_group_size=38)
+
+    def run(out, **kw):
+        return build_index_rows(src, out, text_col="content",
+                                tokenizer="code", docs_per_partition=38,
+                                num_shards=4, **kw)
+
+    opts = DataContext.get_current().execution_options
+    prev = opts.resource_limits
+    opts.resource_limits = ExecutionResources(cpu=1)
+    yield run
+    opts.resource_limits = prev
+
+
+def test_resume_after_injected_failure(build, tmp_path):
     out = str(tmp_path / "idx")
     # first run: partitions 2 and 5 fail (LogAndFail analog)
     with pytest.raises(Exception):
-        build_index(rd.from_arrow(small_corpus), out, tokenizer="code",
-                    num_partitions=8, num_shards=4, fail_pids=[2, 5])
+        build(out, fail_pids=[2, 5])
     man = Manifest(out, "build")
     done_first = set(man.completed_partitions())
     assert 2 not in done_first and 5 not in done_first
@@ -30,8 +52,7 @@ def test_resume_after_injected_failure(small_corpus, tmp_path):
     mtimes = {p: os.path.getmtime(run_file(p)) for p in done_first}
 
     # resume without the failure: only missing partitions run
-    stats = build_index(rd.from_arrow(small_corpus), out, tokenizer="code",
-                        num_partitions=8, num_shards=4)
+    build(out)
     man2 = Manifest(out, "build")
     assert len(man2.completed_partitions()) == 8
     for p in done_first:  # committed run files were NOT rewritten
@@ -39,23 +60,21 @@ def test_resume_after_injected_failure(small_corpus, tmp_path):
 
     # final index identical to a clean one-shot build
     clean = str(tmp_path / "clean")
-    build_index(rd.from_arrow(small_corpus), clean, tokenizer="code",
-                num_partitions=8, num_shards=4)
+    build(clean)
     ra, rb = IndexReader(out), IndexReader(clean)
     assert ra.n_docs == rb.n_docs and ra.avgdl == rb.avgdl
     for q in REFERENCE_QUERIES:
         assert ra.topk(q["query"], q["k"]) == rb.topk(q["query"], q["k"])
 
 
-def test_poison_partition_goes_dead(small_corpus, tmp_path):
+def test_poison_partition_goes_dead(build, tmp_path):
     """A partition that fails on every attempt is quarantined DEAD after
     MAX_ATTEMPTS (mirrors retry-then-DEAD, ScannerImpl.java:57,688-694)
     and the rest of the build completes."""
     out = str(tmp_path / "idx")
     for _ in range(3):
         try:
-            build_index(rd.from_arrow(small_corpus), out, tokenizer="code",
-                        num_partitions=8, num_shards=4, fail_pids=[3])
+            build(out, fail_pids=[3])
         except Exception:
             continue
     man = Manifest(out, "build")
@@ -67,18 +86,14 @@ def test_poison_partition_goes_dead(small_corpus, tmp_path):
     assert len(man.completed_partitions()) == 7
 
 
-def test_merge_invalidation_on_new_runs(small_corpus, tmp_path):
+def test_merge_invalidation_on_new_runs(build, tmp_path):
     """Segments are re-merged when resume adds runs (merge fingerprint)."""
     out = str(tmp_path / "idx")
     with pytest.raises(Exception):
-        build_index(rd.from_arrow(small_corpus), out, tokenizer="code",
-                    num_partitions=8, num_shards=4, fail_pids=[0])
-    build_index(rd.from_arrow(small_corpus), out, tokenizer="code",
-                num_partitions=8, num_shards=4)
+        build(out, fail_pids=[0])
+    build(out)
     clean = str(tmp_path / "clean")
-    build_index(rd.from_arrow(small_corpus), clean, tokenizer="code",
-                num_partitions=8, num_shards=4)
-    import numpy as np
+    build(clean)
     ra, rb = IndexReader(out), IndexReader(clean)
     for term in ("import", "return"):
         da, ta = ra.postings(term)

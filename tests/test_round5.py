@@ -1253,6 +1253,34 @@ def test_q10_topk_matches_direct_and_groups_invariant(ray_session):
         per["cents"].to_numpy(np.int64).astype(np.float64) / 100.0)
 
 
+def test_q10_orphan_winner_is_skipped(ray_session, sf_dir, tmp_path):
+    """A returns leader with no customer row never ranks: the oracle
+    INNER-joins customer and nation, so it drops the orphan custkey and
+    promotes the next customer.  The top winner's customer row is
+    deleted from a copy of the sf0.001 tables; the engine equals the
+    DuckDB oracle on that copy."""
+    import shutil
+
+    import duckdb
+    import pyarrow.compute as pc
+    import __ray_entry__ as entry
+    from jesterj_ray.pipelines.relational import q10_returned_items
+    for f in os.listdir(sf_dir):
+        shutil.copy(os.path.join(sf_dir, f), tmp_path / f)
+    top = int(q10_returned_items(sf_dir)["c_custkey"].iloc[0])
+    cu = pq.read_table(os.path.join(sf_dir, "customer.parquet"))
+    pq.write_table(cu.filter(pc.not_equal(cu["c_custkey"], top)),
+                   tmp_path / "customer.parquet")
+    got = q10_returned_items(str(tmp_path))
+    con = duckdb.connect()
+    for t in ("customer", "orders", "lineitem", "nation"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM "
+                f"read_parquet('{tmp_path / t}.parquet')")
+    want = con.sql(entry.oracle_sql()["q10_returned_items"]).df()
+    assert top not in set(got["c_custkey"]) and len(got) == 20
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+
+
 def test_index_stats_vs_corpus_and_delta_visibility(ray_session):
     """Index stats equal direct corpus recomputation; doc count is
     the BM25 invariant N (counts empty docs)."""
