@@ -37,8 +37,8 @@ import pyarrow.parquet as pq
 import ray.data
 
 from ..state.manifest import (Manifest, MAX_ATTEMPTS, STATUS_DEAD,
-                              STATUS_DIRTY, STATUS_DROPPED, STATUS_FORCE,
-                              STATUS_INDEXED, STATUS_PROCESSING,
+                              STATUS_DIRTY, STATUS_DROPPED, STATUS_ERROR,
+                              STATUS_FORCE, STATUS_INDEXED, STATUS_PROCESSING,
                               STATUS_RESTART, STATUS_SEARCHABLE,
                               atomic_write_bytes)
 from ..tokenize.tokenizer import TOKENIZERS
@@ -180,18 +180,37 @@ def make_row_indexer(out_dir: str, *, tokenizer: str, text_col: str,
                     positions=positions)
                 out_rows.append(rec)
             except Exception as e:
-                status = STATUS_DEAD if attempt >= MAX_ATTEMPTS else "ERROR"
+                # returned, not raised: the driver raises once EVERY task
+                # of the job has finished (see _run_indexer)
+                status = STATUS_DEAD if attempt >= MAX_ATTEMPTS else \
+                    STATUS_ERROR
                 man.commit(pid, status=status, attempt=attempt,
                            message=str(e)[:500])
-                if status == STATUS_DEAD:
-                    out_rows.append({"partition_id": pid, "docs_seen": 0,
-                                     "terms_emitted": 0, "bytes_written": 0,
-                                     "dl_sum": 0, "status": STATUS_DEAD})
-                    continue
-                raise
+                out_rows.append({"partition_id": pid, "docs_seen": 0,
+                                 "terms_emitted": 0, "bytes_written": 0,
+                                 "dl_sum": 0, "status": status})
         return pd.DataFrame(out_rows)
 
     return row_indexer
+
+
+def _run_indexer(out_dir: str, parts: List[Dict], indexer) -> None:
+    """Stage 1: one ``indexer`` task per partition.  A failed partition
+    comes back as an ERROR row and this raises only after the job ends,
+    so no task of a failed build is still writing run/docs files when
+    the next build (a resume) plans, merges and publishes its epoch —
+    and every partition that can commit has committed."""
+    res = ray.data.from_items(parts, override_num_blocks=len(parts)) \
+        .map_batches(indexer, batch_format="pandas", batch_size=1) \
+        .to_pandas()
+    failed = sorted(int(p) for p in
+                    res.loc[res["status"] == STATUS_ERROR, "partition_id"])
+    if failed:
+        man = Manifest(out_dir, "build")
+        raise RuntimeError(
+            f"index build failed in partitions {failed}: "
+            + "; ".join(f"{p}: {man.read(p).get('message', '')}"
+                        for p in failed))
 
 
 def _make_partition_differ(out_dir: str, *, text_col: str,
@@ -434,15 +453,10 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
     # brand-new planned partitions (appended input) index whole under
     # their planned pid, exactly as build_index_rows would
     if fresh_parts:
-        items = ray.data.from_items(fresh_parts,
-                                    override_num_blocks=len(fresh_parts))
-        indexer = make_row_indexer(out_dir, tokenizer=tokenizer,
-                                   text_col=text_col, key_col=key_col,
-                                   num_shards=num_shards,
-                                   positions=positions,
-                                   change_col=change_col)
-        items.map_batches(indexer, batch_format="pandas",
-                          batch_size=1).materialize()
+        _run_indexer(out_dir, fresh_parts, make_row_indexer(
+            out_dir, tokenizer=tokenizer, text_col=text_col,
+            key_col=key_col, num_shards=num_shards, positions=positions,
+            change_col=change_col))
 
     # DISTRIBUTED diff + delta write (r02 VERDICT #1): one task per
     # changed partition; only bookkeeping rows return — never text
@@ -671,13 +685,10 @@ def build_index_rows(paths, out_dir: str, *, text_col: str = "text",
         todo.append(p)
 
     if todo:
-        items = ray.data.from_items(todo, override_num_blocks=len(todo))
-        indexer = make_row_indexer(out_dir, tokenizer=tokenizer,
-                                   text_col=text_col, key_col=key_col,
-                                   num_shards=num_shards, positions=positions,
-                                   fail_pids=fail_pids, change_col=change_col)
-        items.map_batches(indexer, batch_format="pandas",
-                          batch_size=1).materialize()
+        _run_indexer(out_dir, todo, make_row_indexer(
+            out_dir, tokenizer=tokenizer, text_col=text_col,
+            key_col=key_col, num_shards=num_shards, positions=positions,
+            fail_pids=fail_pids, change_col=change_col))
 
     merge_runs(out_dir, num_shards)
 
