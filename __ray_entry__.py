@@ -2472,8 +2472,9 @@ ORDER BY r.qid, r.rank
 def _bm25_fboost_sql() -> str:
     # Solr function-query boost: the plain-BM25 `scores` CTE times a
     # per-doc multiplicative factor 1+ln(1+n_chars/1000) BEFORE the
-    # top-k window — engine: flagship.FunctionBoostQueryActor (which
-    # uses np.log(1.0+x) precisely so this ln matches bit-for-bit)
+    # top-k window — engine: flagship.bm25_function_boost_documents
+    # (which uses np.log(1.0+x) precisely so this ln matches
+    # bit-for-bit)
     base = _bm25_sql()
     head, tail = base.split("ranked AS (", 1)
     tail = tail.replace("FROM scores", "FROM boosted", 1)
@@ -2489,7 +2490,7 @@ ranked AS (""" + tail)
 def _bm25_fq_sql(lo: int = 700) -> str:
     # Solr fq= filter query: the match set restricts on the stored
     # field BEFORE ranking; scores stay pure BM25 (fq never scores) —
-    # engine: flagship.FieldOpsQueryActor(op='filter')
+    # engine: flagship._field_ops_documents(op='filter')
     base = _bm25_sql()
     head, tail = base.split("ranked AS (", 1)
     tail = tail.replace("FROM scores", "FROM fqd", 1)
@@ -2503,7 +2504,7 @@ ranked AS (""" + tail)
 
 def _match_sort_sql() -> str:
     # Solr sort=n_chars desc over the disjunctive match set — engine:
-    # flagship.FieldOpsQueryActor(op='sort'); integer sort values, so
+    # flagship._field_ops_documents(op='sort'); integer sort values, so
     # no float-rounding concerns; tiebreak doc_id ascending both sides
     return f"""
 WITH qterms(qid, term) AS {_BM25_QUERIES_SQL},

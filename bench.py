@@ -324,24 +324,20 @@ def run_bench() -> dict:
             shutil.rmtree(_cache_dir(SF_DIR, tag), ignore_errors=True)
 
     # block-join: fresh child-paragraph index build + parent-ranking
-    # query loop (full child match set -> per-parent max reduceat)
-    import pandas as _pd
-
-    from jesterj_ray.pipelines.flagship import (BlockJoinQueryActor,
+    # query loop on one reader (full child match set -> per-parent max
+    # reduceat)
+    from jesterj_ray.pipelines.flagship import (block_join_query_set,
                                                 documents_children_index)
     for tag in ("docidx-child2", "docidx-child2-split"):
         shutil.rmtree(_cache_dir(SF_DIR, tag), ignore_errors=True)
     t0 = time.time()
     cidx = documents_children_index(SF_DIR)
     timings["blockjoin_child_build"] = time.time() - t0
-    bj = BlockJoinQueryActor(cidx, "max")
-    qdf = _pd.DataFrame({"qid": [q["qid"] for q in DOC_QUERIES],
-                         "query": [q["query"] for q in DOC_QUERIES],
-                         "k": [q["k"] for q in DOC_QUERIES]})
-    bj(qdf)  # postings warm-up, untimed
+    bj_reader = IndexReader(cidx)
+    block_join_query_set(bj_reader, DOC_QUERIES)  # postings warm-up, untimed
     t0 = time.time()
     for _ in range(20):
-        bj(qdf)
+        block_join_query_set(bj_reader, DOC_QUERIES)
     timings["block_join_120q"] = time.time() - t0
 
     headline = timings["index_build"]

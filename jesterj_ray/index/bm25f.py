@@ -41,7 +41,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
-import pandas as pd
 
 from .bm25 import K1, dedup_keep_order, idf
 from .query import IndexReader
@@ -362,30 +361,3 @@ def watch_and_reindex_fields(pattern: str, field_dirs: Dict[str, str], *,
         yield stats
         cycle += 1
 
-
-class BM25FQueryActor:
-    """Actor-pool stage: BM25F answers for batches of queries.
-
-    Same contract as ``query.QueryActor`` (input qid/query/k, output
-    qid/rank/doc_id/doc_key/score); opens every field index once per
-    actor in ``__init__``."""
-
-    def __init__(self, field_dirs: Dict[str, str],
-                 weights: Optional[Dict[str, float]] = None,
-                 b: Optional[Dict[str, float]] = None):
-        self.reader = BM25FReader(field_dirs, weights=weights, b=b)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"qid": [], "rank": [], "doc_id": [], "doc_key": [],
-               "score": []}
-        for qid, query, k in zip(batch["qid"], batch["query"], batch["k"]):
-            hits = self.reader.topk(query, int(k))
-            ids = np.array([h[0] for h in hits], dtype=np.int64)
-            keys = self.reader.doc_keys(ids)
-            for r, ((did, score), key) in enumerate(zip(hits, keys), 1):
-                out["qid"].append(int(qid))
-                out["rank"].append(r)
-                out["doc_id"].append(did)
-                out["doc_key"].append(key)
-                out["score"].append(score)
-        return pd.DataFrame(out)

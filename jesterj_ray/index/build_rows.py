@@ -648,7 +648,6 @@ def build_index_rows(paths, out_dir: str, *, text_col: str = "text",
                      docs_per_partition: int = 50_000, num_shards: int = 8,
                      resume: bool = True, positions: bool = False,
                      fail_pids: Optional[List[int]] = None,
-                     concurrency: Optional[int] = None,
                      change_col: Optional[str] = None) -> Dict:
     """Shuffle-free build over parquet ``paths``.  Returns build stats."""
     if isinstance(paths, str):

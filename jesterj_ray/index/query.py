@@ -754,13 +754,17 @@ class IndexReader:
         seen[touched] = 0
         return touched
 
+    def _topk_terms(self, terms, k: int, boosts=None
+                    ) -> List[Tuple[int, float]]:
+        """Disjunctive top-k over ``terms`` (summed in list order; see
+        :meth:`_score_disjunctive`) — the shared tail of every OR-family
+        mode."""
+        return self._topk_from_dense(
+            self._scores_buf, self._score_disjunctive(terms, boosts), k)
+
     def topk(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
         """Exhaustive disjunctive BM25 top-k."""
-        touched = self._score_disjunctive(
-            dedup_keep_order(self.tokenizer(query)))
-        if touched.size == 0:
-            return []
-        return self._topk_from_dense(self._scores_buf, touched, k)
+        return self._topk_terms(dedup_keep_order(self.tokenizer(query)), k)
 
     # OR top-k under its older name, which perfbench still calls
     topk_pruned = topk
@@ -782,23 +786,29 @@ class IndexReader:
             touched, scores = touched[alive], scores[alive]
         return self.doc_id_of_dense(touched), scores
 
+    def _dict_terms(self, mask_of: Callable[[pa.Array], pa.Array]
+                    ) -> pa.Array:
+        """Distinct dictionary terms where ``mask_of(term_col)`` holds.
+        Terms hash-shard, so every shard generation's (already-loaded,
+        epoch-pinned, zero-copy Arrow) term column gets one vectorized
+        kernel — vocab-bounded work, never corpus-bounded."""
+        import pyarrow.compute as _pc
+        cols = [st["term_col"] for shard in range(self.num_shards)
+                for st in self._load_shard(shard) or []]
+        if not cols:
+            return pa.array([], pa.string())
+        return _pc.unique(pa.chunked_array(
+            [col.filter(mask_of(col)) for col in cols]))
+
     def terms_with_prefix(self, prefix: str, max_terms: int = 50
                           ) -> List[str]:
         """All index terms starting with ``prefix`` (a lowercase token
         prefix), capped to the lexicographically FIRST ``max_terms`` —
-        Lucene's term-dictionary prefix scan.  Terms hash-shard, so
-        every shard's (already-loaded, zero-copy Arrow) term column is
-        scanned with one vectorized ``starts_with`` per generation —
-        vocab-bounded work, never corpus-bounded."""
+        Lucene's term-dictionary prefix scan (one ``starts_with`` per
+        term column, :meth:`_dict_terms`)."""
         import pyarrow.compute as _pc
-        found = set()
-        for shard in range(self.num_shards):
-            states = self._load_shard(shard)
-            for st in states or []:
-                col = st["term_col"]
-                hits = col.filter(_pc.starts_with(col, prefix))
-                found.update(_pc.unique(hits).to_pylist())
-        return sorted(found)[:max_terms]
+        return sorted(self._dict_terms(
+            lambda col: _pc.starts_with(col, prefix)).to_pylist())[:max_terms]
 
     def prefix_term_dfs(self, prefix: str):
         """(term, df) pairs for every index term starting with
@@ -830,11 +840,7 @@ class IndexReader:
         dictionary terms (lexicographic, deterministic), score
         disjunctively (summation in that sorted order), each expanded
         term with its own idf."""
-        terms = self.terms_with_prefix(prefix, max_terms)
-        touched = self._score_disjunctive(terms)
-        if touched.size == 0:
-            return []
-        return self._topk_from_dense(self._scores_buf, touched, k)
+        return self._topk_terms(self.terms_with_prefix(prefix, max_terms), k)
 
     def terms_within_edits(self, word: str, max_edits: int = 1,
                            max_terms: int = 50) -> List[str]:
@@ -850,18 +856,12 @@ class IndexReader:
         is the honest small-alphabet equivalent here)."""
         import pyarrow.compute as _pc
         lw = len(word)
-        parts = []
-        for shard in range(self.num_shards):
-            states = self._load_shard(shard)
-            for st in states or []:
-                col = st["term_col"]
-                lens = _pc.utf8_length(col)
-                band = _pc.and_(_pc.greater_equal(lens, lw - max_edits),
-                                _pc.less_equal(lens, lw + max_edits))
-                parts.append(_pc.unique(col.filter(band)))
-        if not parts:
-            return []
-        cands = _pc.unique(pa.chunked_array(parts))
+
+        def band(col):
+            lens = _pc.utf8_length(col)
+            return _pc.and_(_pc.greater_equal(lens, lw - max_edits),
+                            _pc.less_equal(lens, lw + max_edits))
+        cands = self._dict_terms(band)
         if len(cands) == 0:
             return []
         mask = _edit_leq_batch(word, cands, max_edits)
@@ -908,11 +908,8 @@ class IndexReader:
         """Fuzzy BM25 top-k (Lucene ``word~1`` analog): expand to the
         dictionary terms within ``max_edits``, score disjunctively in
         sorted term order, each with its own idf."""
-        terms = self.terms_within_edits(word, max_edits, max_terms)
-        touched = self._score_disjunctive(terms)
-        if touched.size == 0:
-            return []
-        return self._topk_from_dense(self._scores_buf, touched, k)
+        return self._topk_terms(
+            self.terms_within_edits(word, max_edits, max_terms), k)
 
     def terms_matching(self, pattern: str, max_terms: int = 50
                        ) -> List[str]:
@@ -926,28 +923,15 @@ class IndexReader:
         import pyarrow.compute as _pc
         like = pattern.replace("%", r"\%").replace("_", r"\_") \
             .replace("*", "%").replace("?", "_")
-        parts = []
-        for shard in range(self.num_shards):
-            states = self._load_shard(shard)
-            for st in states or []:
-                col = st["term_col"]
-                parts.append(_pc.unique(
-                    col.filter(_pc.match_like(col, like))))
-        if not parts:
-            return []
-        cands = _pc.unique(pa.chunked_array(parts))
-        return sorted(cands.to_pylist())[:max_terms]
+        return sorted(self._dict_terms(
+            lambda col: _pc.match_like(col, like)).to_pylist())[:max_terms]
 
     def topk_wildcard(self, pattern: str, k: int = 10,
                       max_terms: int = 50) -> List[Tuple[int, float]]:
         """Wildcard BM25 top-k (Lucene WildcardQuery / Solr ``m*ge``
         analog): expand to matching dictionary terms, score
         disjunctively in sorted term order, each with its own idf."""
-        terms = self.terms_matching(pattern, max_terms)
-        touched = self._score_disjunctive(terms)
-        if touched.size == 0:
-            return []
-        return self._topk_from_dense(self._scores_buf, touched, k)
+        return self._topk_terms(self.terms_matching(pattern, max_terms), k)
 
     def terms_regexp(self, pattern: str, max_terms: int = 50
                      ) -> List[str]:
@@ -960,15 +944,9 @@ class IndexReader:
         vocab-bounded, never corpus-bounded."""
         import pyarrow.compute as _pc
         anchored = f"^(?:{pattern})$"
-        found = set()
-        for shard in range(self.num_shards):
-            states = self._load_shard(shard)
-            for st in states or []:
-                col = st["term_col"]
-                hits = col.filter(
-                    _pc.match_substring_regex(col, anchored))
-                found.update(_pc.unique(hits).to_pylist())
-        return sorted(found)[:max_terms]
+        return sorted(self._dict_terms(
+            lambda col: _pc.match_substring_regex(col, anchored)
+        ).to_pylist())[:max_terms]
 
     def topk_regexp(self, pattern: str, k: int = 10,
                     max_terms: int = 50) -> List[Tuple[int, float]]:
@@ -976,11 +954,7 @@ class IndexReader:
         syntax): expand to matching dictionary terms, score
         disjunctively in sorted term order, each with its own idf —
         the same contract as prefix/wildcard expansion."""
-        terms = self.terms_regexp(pattern, max_terms)
-        touched = self._score_disjunctive(terms)
-        if touched.size == 0:
-            return []
-        return self._topk_from_dense(self._scores_buf, touched, k)
+        return self._topk_terms(self.terms_regexp(pattern, max_terms), k)
 
     def topk_synonyms(self, query: str, synonyms: dict, k: int = 10):
         """Query-time synonym expansion (Solr SynonymGraphFilter at
@@ -994,13 +968,7 @@ class IndexReader:
         for t in terms:
             expanded.append(t)
             expanded.extend(synonyms.get(t, ()))
-        expanded = dedup_keep_order(expanded)
-        if not expanded:
-            return []
-        touched = self._score_disjunctive(expanded)
-        if touched.size == 0:
-            return []
-        return self._topk_from_dense(self._scores_buf, touched, k)
+        return self._topk_terms(dedup_keep_order(expanded), k)
 
     def topk_boosted(self, query: str, k: int = 10
                      ) -> List[Tuple[int, float]]:
@@ -1010,10 +978,7 @@ class IndexReader:
         term's cached impacts."""
         from .bm25 import parse_boosted_query
         terms, boosts = parse_boosted_query(query, self.tokenizer)
-        touched = self._score_disjunctive(terms, boosts)
-        if touched.size == 0:
-            return []
-        return self._topk_from_dense(self._scores_buf, touched, k)
+        return self._topk_terms(terms, k, boosts)
 
     def topk_excluding(self, query: str, exclude: str,
                        k: int = 10) -> List[Tuple[int, float]]:

@@ -73,6 +73,50 @@ def documents_index(sf_dir: str, *, rebuild: bool = False) -> str:
     return out
 
 
+def _orig_ids(reader, ids) -> np.ndarray:
+    """Internal docIDs -> the int64 ``doc_id`` their doc_key spells
+    (the zero-padded documents key)."""
+    return np.array([int(k) for k in reader.doc_keys(
+        np.asarray(ids, dtype=np.int64))], dtype=np.int64)
+
+
+def _query_frame(queries: List[dict], ranked_of, cols=("score",)
+                 ) -> pd.DataFrame:
+    """The query-set frame every flagship query entry returns:
+    (qid, rank, doc_id, *cols).  ``ranked_of(q)`` gives one query's rows
+    in rank order as equal-length ``doc_id`` (original ids) and ``cols``
+    arrays.  Every column is int64 except ``score``: float64 rounded to
+    6dp with pandas ``round`` (the SQL oracles' rounding).  Rows sort by
+    (qid, rank), stable, so a repeated qid keeps query order; an empty
+    result keeps the dtypes."""
+    names = ("qid", "rank", "doc_id", *cols)
+    dtypes = {c: np.float64 if c == "score" else np.int64 for c in names}
+    parts = {c: [np.empty(0, dtypes[c])] for c in names}
+    for q in queries:
+        r = ranked_of(q)
+        n = len(r["doc_id"])
+        parts["qid"].append(np.full(n, q["qid"], np.int64))
+        parts["rank"].append(np.arange(1, n + 1, dtype=np.int64))
+        for c in names[2:]:
+            parts[c].append(np.asarray(r[c], dtype=dtypes[c]))
+    out = pd.DataFrame({c: np.concatenate(v) for c, v in parts.items()})
+    if "score" in out:
+        out["score"] = out["score"].round(6)
+    return out.sort_values(["qid", "rank"], kind="stable") \
+        .reset_index(drop=True)
+
+
+def _query_set(reader, queries: List[dict], hits_of) -> pd.DataFrame:
+    """Run a fixed query set on ONE open reader: ``hits_of(q)`` returns
+    the reader's ranked ``[(internal_id, score)]`` for one query dict;
+    the frame is :func:`_query_frame`'s (qid, rank, doc_id, score)."""
+    def ranked(q):
+        hits = hits_of(q)
+        return {"doc_id": _orig_ids(reader, [h[0] for h in hits]),
+                "score": [h[1] for h in hits]}
+    return _query_frame(queries, ranked)
+
+
 def bm25_topk_documents(sf_dir: str, queries: Optional[List[dict]] = None,
                         *, mode: str = "or") -> pd.DataFrame:
     """Top-k BM25 over documents.parquet for the fixed query set.
@@ -81,26 +125,10 @@ def bm25_topk_documents(sf_dir: str, queries: Optional[List[dict]] = None,
     match; IndexReader.topk_and — qid 4's absent term empties that
     query).  Output columns (qid:int64, rank:int64, doc_id:int64,
     score:float64 rounded to 6dp) match the SQL oracle exactly."""
-    idx = documents_index(sf_dir)
-    qs = queries or DOC_QUERIES
-    qds = rd.from_arrow(pa.table({
-        "qid": pa.array([q["qid"] for q in qs], pa.int64()),
-        "query": pa.array([q["query"] for q in qs], pa.string()),
-        "k": pa.array([q["k"] for q in qs], pa.int64()),
-    }))
-    hits = qds.map_batches(QueryActor, fn_constructor_kwargs={
-        "index_dir": idx, "mode": mode},
-        batch_format="pandas", concurrency=2).to_pandas()
-    if hits.empty:
-        return pd.DataFrame({"qid": pd.Series([], dtype=np.int64),
-                             "rank": pd.Series([], dtype=np.int64),
-                             "doc_id": pd.Series([], dtype=np.int64),
-                             "score": pd.Series([], dtype=np.float64)})
-    hits["doc_id"] = hits["doc_key"].astype(np.int64)
-    hits["score"] = hits["score"].round(6)
-    hits["rank"] = hits["rank"].astype(np.int64)
-    return hits[["qid", "rank", "doc_id", "score"]] \
-        .sort_values(["qid", "rank"]).reset_index(drop=True)
+    reader = IndexReader(documents_index(sf_dir))
+    topk = reader.topk_and if mode == "and" else reader.topk
+    return _query_set(reader, queries or DOC_QUERIES,
+                      lambda q: topk(q["query"], q["k"]))
 
 
 def bm25_and_topk_documents(sf_dir: str,
@@ -109,195 +137,60 @@ def bm25_and_topk_documents(sf_dir: str,
     return bm25_topk_documents(sf_dir, queries, mode="and")
 
 
-class FunctionBoostQueryActor:
-    """Actor-pool stage: Solr function-query boost (``boost=``) — each
-    doc's BM25 score multiplies by ``1 + ln(1 + field/1000)`` of a
-    stored numeric field, so ranking needs the FULL match set (a
-    factor can promote a low-BM25 doc into the top-k; top-k-then-boost
-    would be wrong).
-
-    The factor column loads ONCE per actor from a pruned 2-column
-    parquet read — the Lucene DocValues analog.  At 10^12-doc scale
-    this column would instead live as a per-partition docvalues blob
-    inside the index (like the doc-length blobs already do); the
-    per-actor load documents that assumption rather than hiding it.
-    ``np.log(1.0 + x)`` (not ``log1p``) matches DuckDB's ``ln(1+x)``
-    bit-for-bit so the 6dp oracle rounding never straddles.
-    """
-
-    def __init__(self, index_dir: str, sf_dir: str,
-                 boost_field: str = "n_chars"):
-        import pyarrow.parquet as pq
-        self.reader = IndexReader(index_dir)
-        t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                          columns=["doc_id", boost_field])
-        ids = np.asarray(t["doc_id"], dtype=np.int64)
-        vals = np.asarray(t[boost_field], dtype=np.float64)
-        order = np.argsort(ids)
-        self._ids = ids[order]
-        self._factor = 1.0 + np.log(1.0 + vals[order] / 1000.0)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"qid": [], "rank": [], "doc_id": [], "score": []}
-        for qid, query, k in zip(batch["qid"], batch["query"],
-                                 batch["k"]):
-            docs, scores = self.reader.match_scores(query)
-            if docs.size == 0:
-                continue
-            orig = np.array([int(kk) for kk in
-                             self.reader.doc_keys(docs)],
-                            dtype=np.int64)
-            boosted = scores * self._factor[
-                np.searchsorted(self._ids, orig)]
-            top = np.lexsort((orig, -boosted))[:int(k)]
-            for r, i in enumerate(top, 1):
-                out["qid"].append(int(qid))
-                out["rank"].append(r)
-                out["doc_id"].append(int(orig[i]))
-                out["score"].append(float(boosted[i]))
-        return pd.DataFrame(out)
-
-
-class MMQueryActor:
-    """Actor-pool stage: minimum-should-match queries (Solr edismax
-    ``mm=N``) — batch columns (qid, query, k, mm)."""
-
-    def __init__(self, index_dir: str):
-        self.reader = IndexReader(index_dir)
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"qid": [], "rank": [], "doc_id": [], "score": []}
-        for qid, query, k, mm in zip(batch["qid"], batch["query"],
-                                     batch["k"], batch["mm"]):
-            hits = self.reader.topk_mm(query, int(k), mm=int(mm))
-            keys = self.reader.doc_keys(
-                np.array([h[0] for h in hits], dtype=np.int64))
-            for r, ((_, score), key) in enumerate(zip(hits, keys), 1):
-                out["qid"].append(int(qid))
-                out["rank"].append(r)
-                out["doc_id"].append(int(key))
-                out["score"].append(score)
-        return pd.DataFrame(out)
-
-
 def bm25_mm_topk_documents(sf_dir: str,
                            queries: Optional[List[dict]] = None,
                            mm: int = 2) -> pd.DataFrame:
-    """Top-k under minimum-should-match mm=2 (clamped per Solr to the
-    clause count, so single-term queries degrade to plain OR); qid 3's
-    3-term query is the discriminating case (differs from both OR and
-    AND)."""
-    idx = documents_index(sf_dir)
-    qs = queries or DOC_QUERIES
-    qds = rd.from_arrow(pa.table({
-        "qid": pa.array([q["qid"] for q in qs], pa.int64()),
-        "query": pa.array([q["query"] for q in qs], pa.string()),
-        "k": pa.array([q["k"] for q in qs], pa.int64()),
-        "mm": pa.array([q.get("mm", mm) for q in qs], pa.int64()),
-    }))
-    hits = qds.map_batches(MMQueryActor,
-                           fn_constructor_kwargs={"index_dir": idx},
-                           batch_format="pandas",
-                           concurrency=2).to_pandas()
-    if hits.empty:
-        return pd.DataFrame({"qid": pd.Series([], dtype=np.int64),
-                             "rank": pd.Series([], dtype=np.int64),
-                             "doc_id": pd.Series([], dtype=np.int64),
-                             "score": pd.Series([], dtype=np.float64)})
-    hits["score"] = hits["score"].round(6)
-    hits["rank"] = hits["rank"].astype(np.int64)
-    return hits[["qid", "rank", "doc_id", "score"]] \
-        .sort_values(["qid", "rank"]).reset_index(drop=True)
+    """Top-k under minimum-should-match mm=2 (Solr edismax ``mm=N``;
+    a query dict's own ``mm`` overrides; clamped per Solr to the clause
+    count, so single-term queries degrade to plain OR); qid 3's 3-term
+    query is the discriminating case (differs from both OR and AND)."""
+    reader = IndexReader(documents_index(sf_dir))
+    return _query_set(reader, queries or DOC_QUERIES,
+                      lambda q: reader.topk_mm(q["query"], q["k"],
+                                               mm=q.get("mm", mm)))
 
 
-class FieldOpsQueryActor:
-    """Actor-pool stage for match-set x stored-field query shaping:
-
-    - ``op='filter'`` — Solr ``fq=field:[lo TO *]``: the match set is
-      restricted by a numeric predicate, BM25 scores UNCHANGED (fq
-      never contributes to scoring),
-    - ``op='sort'`` — Solr ``sort=field desc``: the match set orders
-      by the stored field (doc_id ascending tiebreak), emitting the
-      field as ``sort_val`` instead of a score.
-
-    Field column loads once per actor (DocValues analog — same
-    scale note as :class:`FunctionBoostQueryActor`)."""
-
-    def __init__(self, index_dir: str, sf_dir: str, op: str,
-                 field: str = "n_chars", lo: float = 0.0):
-        import pyarrow.parquet as pq
-        self.reader = IndexReader(index_dir)
-        self.op = op
-        self.lo = lo
-        t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
-                          columns=["doc_id", field])
-        ids = np.asarray(t["doc_id"], dtype=np.int64)
-        vals = np.asarray(t[field], dtype=np.int64)
-        order = np.argsort(ids)
-        self._ids = ids[order]
-        self._vals = vals[order]
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        val_col = "score" if self.op == "filter" else "sort_val"
-        out = {"qid": [], "rank": [], "doc_id": [], val_col: []}
-        for qid, query, k in zip(batch["qid"], batch["query"],
-                                 batch["k"]):
-            docs, scores = self.reader.match_scores(query)
-            if docs.size == 0:
-                continue
-            orig = np.array([int(kk) for kk in
-                             self.reader.doc_keys(docs)],
-                            dtype=np.int64)
-            vals = self._vals[np.searchsorted(self._ids, orig)]
-            if self.op == "filter":
-                keep = vals >= self.lo
-                orig, scores = orig[keep], scores[keep]
-                top = np.lexsort((orig, -scores))[:int(k)]
-                emit = scores
-            else:
-                top = np.lexsort((orig, -vals))[:int(k)]
-                emit = vals
-            for r, i in enumerate(top, 1):
-                out["qid"].append(int(qid))
-                out["rank"].append(r)
-                out["doc_id"].append(int(orig[i]))
-                out[val_col].append(
-                    float(emit[i]) if self.op == "filter"
-                    else int(emit[i]))
-        return pd.DataFrame(out)
+def _doc_values(sf_dir: str, field: str, dtype):
+    """(ascending doc_id, value) arrays of one stored numeric field of
+    documents.parquet, loaded once per entry call from a pruned
+    2-column read — the Lucene DocValues analog.  At 10^12-doc scale
+    this column would instead live as a per-partition docvalues blob
+    inside the index (like the doc-length blobs already do); the
+    per-call load documents that assumption rather than hiding it."""
+    import pyarrow.parquet as pq
+    t = pq.read_table(os.path.join(sf_dir, "documents.parquet"),
+                      columns=["doc_id", field])
+    ids = np.asarray(t["doc_id"], dtype=np.int64)
+    order = np.argsort(ids)
+    return ids[order], np.asarray(t[field], dtype=dtype)[order]
 
 
 def _field_ops_documents(sf_dir: str, op: str, lo: float = 0.0,
                          queries: Optional[List[dict]] = None
                          ) -> pd.DataFrame:
-    idx = documents_index(sf_dir)
-    qs = queries or DOC_QUERIES
-    qds = rd.from_arrow(pa.table({
-        "qid": pa.array([q["qid"] for q in qs], pa.int64()),
-        "query": pa.array([q["query"] for q in qs], pa.string()),
-        "k": pa.array([q["k"] for q in qs], pa.int64()),
-    }))
-    hits = qds.map_batches(FieldOpsQueryActor,
-                           fn_constructor_kwargs={
-                               "index_dir": idx, "sf_dir": sf_dir,
-                               "op": op, "lo": lo},
-                           batch_format="pandas",
-                           concurrency=2).to_pandas()
-    val_col = "score" if op == "filter" else "sort_val"
-    if hits.empty:
-        return pd.DataFrame({
-            "qid": pd.Series([], dtype=np.int64),
-            "rank": pd.Series([], dtype=np.int64),
-            "doc_id": pd.Series([], dtype=np.int64),
-            val_col: pd.Series([], dtype=(np.float64 if op == "filter"
-                                          else np.int64))})
-    if op == "filter":
-        hits["score"] = hits["score"].round(6)
-    else:
-        hits["sort_val"] = hits["sort_val"].astype(np.int64)
-    hits["rank"] = hits["rank"].astype(np.int64)
-    return hits[["qid", "rank", "doc_id", val_col]] \
-        .sort_values(["qid", "rank"]).reset_index(drop=True)
+    """Match-set x stored-field query shaping over each query's full
+    disjunctive match set (``_doc_values`` field column):
+
+    - ``op='filter'`` — Solr ``fq=n_chars:[lo TO *]``: the match set is
+      restricted by a numeric predicate, BM25 scores UNCHANGED (fq
+      never contributes to scoring),
+    - ``op='sort'`` — Solr ``sort=n_chars desc``: the match set orders
+      by the stored field (doc_id ascending tiebreak), emitting the
+      field as an int ``sort_val`` column instead of a score."""
+    reader = IndexReader(documents_index(sf_dir))
+    ids, vals = _doc_values(sf_dir, "n_chars", np.int64)
+    col = "score" if op == "filter" else "sort_val"
+
+    def ranked(q):
+        docs, scores = reader.match_scores(q["query"])
+        orig = _orig_ids(reader, docs)
+        v = vals[np.searchsorted(ids, orig)]
+        if op == "filter":
+            keep = v >= lo
+            orig, v = orig[keep], scores[keep]
+        top = np.lexsort((orig, -v))[:q["k"]]
+        return {"doc_id": orig[top], col: v[top]}
+    return _query_frame(queries or DOC_QUERIES, ranked, cols=(col,))
 
 
 def bm25_filter_query_documents(sf_dir: str, lo: int = 300
@@ -318,28 +211,24 @@ def bm25_function_boost_documents(sf_dir: str,
                                   ) -> pd.DataFrame:
     """Top-k under a multiplicative function-query boost
     (``score * (1 + ln(1 + n_chars/1000))``) — Solr's ``boost=`` /
-    ``bf=`` relevance tuning; columns match the SQL oracle."""
-    idx = documents_index(sf_dir)
-    qs = queries or DOC_QUERIES
-    qds = rd.from_arrow(pa.table({
-        "qid": pa.array([q["qid"] for q in qs], pa.int64()),
-        "query": pa.array([q["query"] for q in qs], pa.string()),
-        "k": pa.array([q["k"] for q in qs], pa.int64()),
-    }))
-    hits = qds.map_batches(FunctionBoostQueryActor,
-                           fn_constructor_kwargs={
-                               "index_dir": idx, "sf_dir": sf_dir},
-                           batch_format="pandas",
-                           concurrency=2).to_pandas()
-    if hits.empty:
-        return pd.DataFrame({"qid": pd.Series([], dtype=np.int64),
-                             "rank": pd.Series([], dtype=np.int64),
-                             "doc_id": pd.Series([], dtype=np.int64),
-                             "score": pd.Series([], dtype=np.float64)})
-    hits["score"] = hits["score"].round(6)
-    hits["rank"] = hits["rank"].astype(np.int64)
-    return hits[["qid", "rank", "doc_id", "score"]] \
-        .sort_values(["qid", "rank"]).reset_index(drop=True)
+    ``bf=`` relevance tuning; columns match the SQL oracle.
+
+    Ranking needs the FULL match set (a factor can promote a low-BM25
+    doc into the top-k; top-k-then-boost would be wrong).  The factor
+    column is ``_doc_values`` (see its scale note).
+    ``np.log(1.0 + x)`` (not ``log1p``) matches DuckDB's ``ln(1+x)``
+    bit-for-bit so the 6dp oracle rounding never straddles."""
+    reader = IndexReader(documents_index(sf_dir))
+    ids, vals = _doc_values(sf_dir, "n_chars", np.float64)
+    factor = 1.0 + np.log(1.0 + vals / 1000.0)
+
+    def ranked(q):
+        docs, scores = reader.match_scores(q["query"])
+        orig = _orig_ids(reader, docs)
+        boosted = scores * factor[np.searchsorted(ids, orig)]
+        top = np.lexsort((orig, -boosted))[:q["k"]]
+        return {"doc_id": orig[top], "score": boosted[top]}
+    return _query_frame(queries or DOC_QUERIES, ranked)
 
 
 def documents_index_pos(sf_dir: str) -> str:
@@ -359,16 +248,11 @@ def phrase_topk_documents(sf_dir: str, phrase: str = "merge sort",
     """Exact-phrase top-k over documents (positional index); columns
     (rank, doc_id, score) match the SQL oracle (regex-adjacency phrase
     match + BM25 over the phrase's distinct terms)."""
-    from ..index.query import IndexReader
-    idx = documents_index_pos(sf_dir)
-    reader = IndexReader(idx)
+    reader = IndexReader(documents_index_pos(sf_dir))
     hits = reader.phrase_topk(phrase, k)
-    ids = np.array([h[0] for h in hits], dtype=np.int64)
-    orig = np.array([int(x) for x in reader.doc_keys(ids)], dtype=np.int64) \
-        if ids.size else np.empty(0, dtype=np.int64)
     return pd.DataFrame({
         "rank": np.arange(1, len(hits) + 1, dtype=np.int64),
-        "doc_id": orig,
+        "doc_id": _orig_ids(reader, [h[0] for h in hits]),
         "score": np.round([h[1] for h in hits], 6).astype(np.float64),
     })
 
@@ -412,10 +296,9 @@ def snippets_documents(sf_dir: str, term: str = "merge",
         return pd.DataFrame({"doc_id": pd.Series([], dtype=np.int64),
                              "first_pos": pd.Series([], dtype=np.int64),
                              "snippet": pd.Series([], dtype=object)})
-    first = first_all
-    ids = np.array([int(k) for k in reader.doc_keys(docs)], dtype=np.int64)
-    pos_ref = ray.put(pa.table({"doc_id": pa.array(ids, pa.int64()),
-                                "first_pos": pa.array(first, pa.int64())}))
+    pos_ref = ray.put(pa.table({
+        "doc_id": pa.array(_orig_ids(reader, docs), pa.int64()),
+        "first_pos": pa.array(first_all, pa.int64())}))
 
     def cut(t: pa.Table) -> pa.Table:
         lk = ray.get(pos_ref)
@@ -477,22 +360,13 @@ def _facet_over_match_set(sf_dir: str, query: str,
     facet.pivot differ only in group-key arity).  ``fq=(field, value)``
     additionally applies a filter query before counting (the
     multi-select path passes it for untagged facets only)."""
-    from ..index.bm25 import dedup_keep_order
     from ..pipelines.relational import partial_groupby_sum
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
-    parts = []
-    for t in dedup_keep_order(reader.tokenizer(query)):
-        docs, _ = reader.postings(t)
-        docs = docs[reader.alive_mask(docs)]  # deleted docs don't facet
-        if docs.size:
-            parts.append(np.array(
-                [int(k) for k in reader.doc_keys(docs)], dtype=np.int64))
-    if not parts:
+    matched = _match_doc_ids(IndexReader(documents_index(sf_dir)), query)
+    if not matched.size:
         return pd.DataFrame({**{f: pd.Series([], dtype=object)
                                 for f in fields},
                              "n": pd.Series([], dtype=np.int64)})
-    matched_ref = ray.put(pa.array(np.unique(np.concatenate(parts))))
+    matched_ref = ray.put(pa.array(matched))
 
     def keep_matched(t: pa.Table) -> pa.Table:
         keep = pc.is_in(t["doc_id"], value_set=ray.get(matched_ref))
@@ -536,19 +410,12 @@ def bm25_grouped_topk(sf_dir: str, query: str = "merge sort",
                              "grank": pd.Series([], dtype=np.int64),
                              "doc_id": pd.Series([], dtype=np.int64),
                              "score": pd.Series([], dtype=np.float64)})
-    ids = np.array([h[0] for h in hits], dtype=np.int64)
-    keys = np.array([int(k) for k in reader.doc_keys(ids)],
-                    dtype=np.int64)
-    matched_ref = ray.put(pa.array(np.unique(keys)))
-
-    def keep_matched(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["doc_id"],
-                                 value_set=ray.get(matched_ref)))
-
+    keys = _orig_ids(reader, [h[0] for h in hits])
     meta = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", group_field],
                            override_num_blocks=8) \
-        .map_batches(keep_matched, batch_format="pyarrow").to_pandas()
+        .map_batches(_keep_matched_fn(np.unique(keys)),
+                     batch_format="pyarrow").to_pandas()
     df = pd.DataFrame({"doc_id": keys,
                        "score": [round(s, 6) for _, s in hits]})
     df = df.merge(meta, on="doc_id", how="inner")
@@ -589,19 +456,12 @@ def collapse_expand_topk(sf_dir: str, query: str = "merge sort",
                           "score": pd.Series([], dtype=np.float64)})
     if not hits:
         return empty
-    ids = np.array([h[0] for h in hits], dtype=np.int64)
-    keys = np.array([int(x) for x in reader.doc_keys(ids)],
-                    dtype=np.int64)
-    matched_ref = ray.put(pa.array(np.unique(keys)))
-
-    def keep_matched(t: pa.Table) -> pa.Table:
-        return t.filter(pc.is_in(t["doc_id"],
-                                 value_set=ray.get(matched_ref)))
-
+    keys = _orig_ids(reader, [h[0] for h in hits])
     meta = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                            columns=["doc_id", group_field],
                            override_num_blocks=8) \
-        .map_batches(keep_matched, batch_format="pyarrow").to_pandas()
+        .map_batches(_keep_matched_fn(np.unique(keys)),
+                     batch_format="pyarrow").to_pandas()
     df = pd.DataFrame({"doc_id": keys,
                        "score": [round(s, 6) for _, s in hits]})
     df = df.merge(meta, on="doc_id", how="inner")
@@ -636,11 +496,9 @@ def bm25f_title_phrase(sf_dir: str, phrase: str = "key vector",
     reader = IndexReader(idx)
     hits = reader.phrase_topk(phrase, k,
                               pos_range=(0, BM25F_TITLE_TOKENS))
-    ids = np.array([h[0] for h in hits], dtype=np.int64)
-    keys = reader.doc_keys(ids)
     return pd.DataFrame({
         "rank": pd.Series(np.arange(1, len(hits) + 1), dtype=np.int64),
-        "doc_id": pd.Series([int(x) for x in keys], dtype=np.int64),
+        "doc_id": _orig_ids(reader, [h[0] for h in hits]),
         "score": pd.Series([round(s, 6) for _, s in hits],
                            dtype=np.float64)})
 
@@ -842,31 +700,11 @@ def bm25f_topk_documents(sf_dir: str,
     ``qf=title^4 body^0.5`` query-time field boosting).
 
     Same query set / output contract as ``bm25_topk_documents``; scored
-    by ``index.bm25f.BM25FQueryActor`` actors over the two field
-    indexes."""
-    from ..index.bm25f import BM25FQueryActor
-    dirs = documents_bm25f_indexes(sf_dir)
-    qs = queries or DOC_QUERIES
-    qds = rd.from_arrow(pa.table({
-        "qid": pa.array([q["qid"] for q in qs], pa.int64()),
-        "query": pa.array([q["query"] for q in qs], pa.string()),
-        "k": pa.array([q["k"] for q in qs], pa.int64()),
-    }))
-    kw = {"field_dirs": dirs}
-    if weights is not None:
-        kw["weights"] = weights
-    hits = qds.map_batches(BM25FQueryActor, fn_constructor_kwargs=kw,
-                           batch_format="pandas", concurrency=2).to_pandas()
-    if hits.empty:
-        return pd.DataFrame({"qid": pd.Series([], dtype=np.int64),
-                             "rank": pd.Series([], dtype=np.int64),
-                             "doc_id": pd.Series([], dtype=np.int64),
-                             "score": pd.Series([], dtype=np.float64)})
-    hits["doc_id"] = hits["doc_key"].astype(np.int64)
-    hits["score"] = hits["score"].round(6)
-    hits["rank"] = hits["rank"].astype(np.int64)
-    return hits[["qid", "rank", "doc_id", "score"]] \
-        .sort_values(["qid", "rank"]).reset_index(drop=True)
+    by one ``index.bm25f.BM25FReader`` over the two field indexes."""
+    from ..index.bm25f import BM25FReader
+    reader = BM25FReader(documents_bm25f_indexes(sf_dir), weights=weights)
+    return _query_set(reader, queries or DOC_QUERIES,
+                      lambda q: reader.topk(q["query"], q["k"]))
 
 
 # boosted query set (Lucene/Solr term^boost syntax; boosts chosen to
@@ -887,23 +725,9 @@ def bm25_boosted_topk_documents(sf_dir: str,
                                 ) -> pd.DataFrame:
     """Per-term boosted BM25 (IndexReader.topk_boosted).  Columns
     (qid, rank, doc_id, score) match the SQL oracle."""
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
-    rows = {"qid": [], "rank": [], "doc_id": [], "score": []}
-    for q in (queries or BOOSTED_QUERIES):
-        hits = reader.topk_boosted(q["query"], q["k"])
-        ids = np.array([h[0] for h in hits], dtype=np.int64)
-        keys = reader.doc_keys(ids)
-        for r, ((_, score), key) in enumerate(zip(hits, keys), 1):
-            rows["qid"].append(q["qid"])
-            rows["rank"].append(r)
-            rows["doc_id"].append(int(key))
-            rows["score"].append(round(score, 6))
-    return pd.DataFrame({
-        "qid": pd.Series(rows["qid"], dtype=np.int64),
-        "rank": pd.Series(rows["rank"], dtype=np.int64),
-        "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-        "score": pd.Series(rows["score"], dtype=np.float64)})
+    reader = IndexReader(documents_index(sf_dir))
+    return _query_set(reader, queries or BOOSTED_QUERIES,
+                      lambda q: reader.topk_boosted(q["query"], q["k"]))
 
 
 def more_like_this_documents(sf_dir: str, seed_doc_ids=(3, 17, 42),
@@ -944,14 +768,10 @@ def more_like_this_documents(sf_dir: str, seed_doc_ids=(3, 17, 42),
                 continue
             scored.append((-f * _idf(reader.n_docs, e["df"]), t))
         terms = [t for _, t in sorted(scored)[:n_terms]]
-        touched = reader._score_disjunctive(terms)
-        hits = reader._topk_from_dense(reader._scores_buf, touched,
-                                       k + 1)
-        keys = reader.doc_keys(np.array([h[0] for h in hits],
-                                        dtype=np.int64))
+        hits = reader._topk_terms(terms, k + 1)
         r = 0
-        for (_, score), key in zip(hits, keys):
-            did = int(key)
+        for (_, score), did in zip(hits, _orig_ids(reader,
+                                                   [h[0] for h in hits])):
             if did == seed:
                 continue
             r += 1
@@ -984,23 +804,10 @@ def bm25_fuzzy_topk_documents(sf_dir: str,
                               max_terms: int = 50) -> pd.DataFrame:
     """Fuzzy BM25 (IndexReader.topk_fuzzy; Lucene ``word~1`` analog).
     Columns (qid, rank, doc_id, score) match the SQL oracle."""
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
-    rows = {"qid": [], "rank": [], "doc_id": [], "score": []}
-    for q in (queries or FUZZY_QUERIES):
-        hits = reader.topk_fuzzy(q["word"], q["k"], max_edits, max_terms)
-        ids = np.array([h[0] for h in hits], dtype=np.int64)
-        keys = reader.doc_keys(ids)
-        for r, ((_, score), key) in enumerate(zip(hits, keys), 1):
-            rows["qid"].append(q["qid"])
-            rows["rank"].append(r)
-            rows["doc_id"].append(int(key))
-            rows["score"].append(round(score, 6))
-    return pd.DataFrame({
-        "qid": pd.Series(rows["qid"], dtype=np.int64),
-        "rank": pd.Series(rows["rank"], dtype=np.int64),
-        "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-        "score": pd.Series(rows["score"], dtype=np.float64)})
+    reader = IndexReader(documents_index(sf_dir))
+    return _query_set(reader, queries or FUZZY_QUERIES,
+                      lambda q: reader.topk_fuzzy(q["word"], q["k"],
+                                                  max_edits, max_terms))
 
 
 # prefix (wildcard) query set — prefixes chosen to expand to several
@@ -1021,23 +828,10 @@ def bm25_prefix_topk_documents(sf_dir: str,
     """Prefix-expansion BM25 (IndexReader.topk_prefix; Lucene
     PrefixQuery / Solr ``prefix*`` analog).  Columns
     (qid, rank, doc_id, score) match the SQL oracle."""
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
-    rows = {"qid": [], "rank": [], "doc_id": [], "score": []}
-    for q in (queries or PREFIX_QUERIES):
-        hits = reader.topk_prefix(q["prefix"], q["k"], max_terms)
-        ids = np.array([h[0] for h in hits], dtype=np.int64)
-        keys = reader.doc_keys(ids)
-        for r, ((_, score), key) in enumerate(zip(hits, keys), 1):
-            rows["qid"].append(q["qid"])
-            rows["rank"].append(r)
-            rows["doc_id"].append(int(key))
-            rows["score"].append(round(score, 6))
-    return pd.DataFrame({
-        "qid": pd.Series(rows["qid"], dtype=np.int64),
-        "rank": pd.Series(rows["rank"], dtype=np.int64),
-        "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-        "score": pd.Series(rows["score"], dtype=np.float64)})
+    reader = IndexReader(documents_index(sf_dir))
+    return _query_set(reader, queries or PREFIX_QUERIES,
+                      lambda q: reader.topk_prefix(q["prefix"], q["k"],
+                                                   max_terms))
 
 
 def bm25_not_topk_documents(sf_dir: str,
@@ -1046,23 +840,10 @@ def bm25_not_topk_documents(sf_dir: str,
     """Disjunctive BM25 minus docs matching any exclude term
     (IndexReader.topk_excluding; Solr ``-term`` analog).  Columns
     (qid, rank, doc_id, score) match the SQL oracle."""
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
-    rows = {"qid": [], "rank": [], "doc_id": [], "score": []}
-    for q in (queries or NOT_QUERIES):
-        hits = reader.topk_excluding(q["query"], q["exclude"], q["k"])
-        ids = np.array([h[0] for h in hits], dtype=np.int64)
-        keys = reader.doc_keys(ids)
-        for r, ((_, score), key) in enumerate(zip(hits, keys), 1):
-            rows["qid"].append(q["qid"])
-            rows["rank"].append(r)
-            rows["doc_id"].append(int(key))
-            rows["score"].append(round(score, 6))
-    return pd.DataFrame({
-        "qid": pd.Series(rows["qid"], dtype=np.int64),
-        "rank": pd.Series(rows["rank"], dtype=np.int64),
-        "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-        "score": pd.Series(rows["score"], dtype=np.float64)})
+    reader = IndexReader(documents_index(sf_dir))
+    return _query_set(reader, queries or NOT_QUERIES,
+                      lambda q: reader.topk_excluding(q["query"],
+                                                      q["exclude"], q["k"]))
 
 
 def facet_counts_documents(sf_dir: str, query: str = "dup stream",
@@ -1086,10 +867,9 @@ def facet_counts_documents(sf_dir: str, query: str = "dup stream",
 def term_postings(sf_dir: str, term: str = "merge") -> pd.DataFrame:
     """The decoded posting list of one term: (doc_id, tf) — direct check
     of posting construction, delta+varbyte codec and the run merge."""
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
+    reader = IndexReader(documents_index(sf_dir))
     docs, tfs = reader.postings(term)
-    orig = np.array([int(k) for k in reader.doc_keys(docs)], dtype=np.int64)
+    orig = _orig_ids(reader, docs)
     order = np.argsort(orig)
     return pd.DataFrame({"doc_id": orig[order], "tf": tfs[order].astype(np.int64)})
 
@@ -1114,14 +894,7 @@ def corpus_index_pipeline(n_rows: int = 500, *, out_dir: Optional[str] = None,
                                     num_groups=num_partitions)
         build_index_rows(paths, out, text_col="content", key_col="doc_key",
                          tokenizer="code", num_shards=num_shards)
-    qs = queries or REFERENCE_QUERIES
-    qds = rd.from_arrow(pa.table({
-        "qid": pa.array([q["qid"] for q in qs], pa.int64()),
-        "query": pa.array([q["query"] for q in qs], pa.string()),
-        "k": pa.array([q["k"] for q in qs], pa.int64()),
-    }))
-    hits = qds.map_batches(QueryActor, fn_constructor_kwargs={"index_dir": out},
-                           batch_format="pandas", concurrency=2).to_pandas()
+    hits = QueryActor(out)(pd.DataFrame(queries or REFERENCE_QUERIES))
     return hits.sort_values(["qid", "rank"]).reset_index(drop=True)
 
 
@@ -1151,8 +924,7 @@ def _match_doc_ids(reader: IndexReader, query: str) -> np.ndarray:
         docs, _ = reader.postings(t)
         docs = docs[reader.alive_mask(docs)]
         if docs.size:
-            parts.append(np.array(
-                [int(k) for k in reader.doc_keys(docs)], dtype=np.int64))
+            parts.append(_orig_ids(reader, docs))
     if not parts:
         return np.zeros(0, dtype=np.int64)
     return np.unique(np.concatenate(parts))
@@ -1265,9 +1037,7 @@ def cursor_pages(sf_dir: str, query: str = "merge sort",
                              "rnk": pd.Series([], dtype=np.int64),
                              "doc_id": pd.Series([], dtype=np.int64),
                              "score": pd.Series([], dtype=np.float64)})
-    ids = np.array([int(k) for k in reader.doc_keys(
-        np.array([h[0] for h in hits], dtype=np.int64))], dtype=np.int64)
-    df = pd.DataFrame({"doc_id": ids,
+    df = pd.DataFrame({"doc_id": _orig_ids(reader, [h[0] for h in hits]),
                        "score": _away6([s for _, s in hits])})
     df = df.sort_values(["score", "doc_id"], ascending=[False, True],
                         kind="mergesort").head(need)
@@ -1314,16 +1084,11 @@ def phrase_slop_topk_documents(sf_dir: str, phrase: str = "merge sort",
     positional documents index; columns match the SQL oracle
     (positions self-join with gap <= slop+1 + BM25 over the phrase's
     distinct terms)."""
-    idx = documents_index_pos(sf_dir)
-    reader = IndexReader(idx)
+    reader = IndexReader(documents_index_pos(sf_dir))
     hits = reader.phrase_slop_topk(phrase, slop=slop, k=k)
-    ids = np.array([h[0] for h in hits], dtype=np.int64)
-    orig = np.array([int(x) for x in reader.doc_keys(ids)],
-                    dtype=np.int64) if ids.size else \
-        np.empty(0, dtype=np.int64)
     return pd.DataFrame({
         "rank": np.arange(1, len(hits) + 1, dtype=np.int64),
-        "doc_id": orig,
+        "doc_id": _orig_ids(reader, [h[0] for h in hits]),
         "score": np.round([h[1] for h in hits], 6).astype(np.float64),
     })
 
@@ -1344,10 +1109,7 @@ def synonym_topk_documents(sf_dir: str, query: str = "merge sort",
         return pd.DataFrame({"rank": pd.Series([], dtype=np.int64),
                              "doc_id": pd.Series([], dtype=np.int64),
                              "score": pd.Series([], dtype=np.float64)})
-    ids = np.array([int(x) for x in reader.doc_keys(
-        np.array([h[0] for h in hits], dtype=np.int64))],
-        dtype=np.int64)
-    df = pd.DataFrame({"doc_id": ids,
+    df = pd.DataFrame({"doc_id": _orig_ids(reader, [h[0] for h in hits]),
                        "score": _away6([s for _, s in hits])})
     df = df.sort_values(["score", "doc_id"], ascending=[False, True],
                         kind="mergesort").head(k)
@@ -1399,54 +1161,39 @@ def documents_children_index(sf_dir: str) -> str:
     return out
 
 
-class BlockJoinQueryActor:
-    """Actor-pool stage: block-join parent ranking.  Per query: full
-    child match set (exhaustive match_scores — parent aggregation needs
-    every child, a child top-k would be wrong the same way a
-    boost-after-topk is), parent key sliced off the child doc_key,
-    vectorized per-parent max/sum via sorted-segment reduceat, then the
-    parent top-k.  Ties rank by parent doc_id ascending."""
+def block_join_query_set(reader: IndexReader, queries: List[dict],
+                         score_mode: str = "max") -> pd.DataFrame:
+    """Block-join parent ranking on an open child-index reader.  Per
+    query: full child match set (exhaustive match_scores — parent
+    aggregation needs every child, a child top-k would be wrong the
+    same way a boost-after-topk is), parent key sliced off the child
+    doc_key, vectorized per-parent max/sum via sorted-segment reduceat,
+    then the parent top-k.  Ties rank by parent doc_id ascending."""
+    if score_mode not in ("max", "sum"):
+        raise ValueError(f"score_mode {score_mode!r}")
+    reduce = np.maximum if score_mode == "max" else np.add
 
-    def __init__(self, index_dir: str, score_mode: str = "max"):
-        if score_mode not in ("max", "sum"):
-            raise ValueError(f"score_mode {score_mode!r}")
-        self.reader = IndexReader(index_dir)
-        self.mode = score_mode
-
-    def __call__(self, batch: pd.DataFrame) -> pd.DataFrame:
-        out = {"qid": [], "rank": [], "doc_id": [], "score": [],
-               "n_child_hits": []}
-        for qid, query, k in zip(batch["qid"], batch["query"],
-                                 batch["k"]):
-            docs, scores = self.reader.match_scores(query)
-            if docs.size == 0:
-                continue
-            keys = self.reader.doc_keys(docs)
-            parents = np.array([int(kk[:12]) for kk in keys],
-                               dtype=np.int64)
-            order = np.argsort(parents, kind="mergesort")
-            parents, scores = parents[order], scores[order]
-            starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(parents) != 0) + 1])
-            pids = parents[starts]
-            nch = np.diff(np.concatenate([starts, [parents.size]]))
-            if self.mode == "max":
-                pscore = np.maximum.reduceat(scores, starts)
-            else:
-                pscore = np.add.reduceat(scores, starts)
-            # rank on the 6dp-ROUNDED total order (id-asc ties): sum
-            # mode accumulates child scores in docid order vs the
-            # oracle's own order, so sub-1e-6 parent ties would flip
-            # on the raw floats (the repo's pinned tie rule)
-            pscore = np.floor(pscore * 1e6 + 0.5) / 1e6
-            top = np.lexsort((pids, -pscore))[:int(k)]
-            for r, i in enumerate(top, 1):
-                out["qid"].append(int(qid))
-                out["rank"].append(r)
-                out["doc_id"].append(int(pids[i]))
-                out["score"].append(float(pscore[i]))
-                out["n_child_hits"].append(int(nch[i]))
-        return pd.DataFrame(out)
+    def ranked(q):
+        docs, scores = reader.match_scores(q["query"])
+        if docs.size == 0:
+            return {"doc_id": (), "score": (), "n_child_hits": ()}
+        parents = np.array([int(kk[:12]) for kk in reader.doc_keys(docs)],
+                           dtype=np.int64)
+        order = np.argsort(parents, kind="mergesort")
+        parents, scores = parents[order], scores[order]
+        starts = np.concatenate(
+            [[0], np.flatnonzero(np.diff(parents) != 0) + 1])
+        nch = np.diff(np.concatenate([starts, [parents.size]]))
+        # rank on the 6dp-ROUNDED total order (id-asc ties): sum mode
+        # accumulates child scores in docid order vs the oracle's own
+        # order, so sub-1e-6 parent ties would flip on the raw floats
+        # (the repo's pinned tie rule)
+        pscore = np.floor(reduce.reduceat(scores, starts) * 1e6 + 0.5) / 1e6
+        pids = parents[starts]
+        top = np.lexsort((pids, -pscore))[:q["k"]]
+        return {"doc_id": pids[top], "score": pscore[top],
+                "n_child_hits": nch[top]}
+    return _query_frame(queries, ranked, cols=("score", "n_child_hits"))
 
 
 def block_join_parent_topk(sf_dir: str, score_mode: str = "max",
@@ -1455,28 +1202,9 @@ def block_join_parent_topk(sf_dir: str, score_mode: str = "max",
     """Parents ranked by aggregated child BM25 for the fixed query set.
     Columns (qid, rank, doc_id, score, n_child_hits) match the SQL
     oracle."""
-    idx = documents_children_index(sf_dir)
-    qs = queries or DOC_QUERIES
-    qds = rd.from_arrow(pa.table({
-        "qid": pa.array([q["qid"] for q in qs], pa.int64()),
-        "query": pa.array([q["query"] for q in qs], pa.string()),
-        "k": pa.array([q["k"] for q in qs], pa.int64()),
-    }))
-    hits = qds.map_batches(BlockJoinQueryActor, fn_constructor_kwargs={
-        "index_dir": idx, "score_mode": score_mode},
-        batch_format="pandas", concurrency=2).to_pandas()
-    if hits.empty:
-        return pd.DataFrame({
-            "qid": pd.Series([], dtype=np.int64),
-            "rank": pd.Series([], dtype=np.int64),
-            "doc_id": pd.Series([], dtype=np.int64),
-            "score": pd.Series([], dtype=np.float64),
-            "n_child_hits": pd.Series([], dtype=np.int64)})
-    hits["score"] = hits["score"].round(6)
-    for c in ("qid", "rank", "doc_id", "n_child_hits"):
-        hits[c] = hits[c].astype(np.int64)
-    return hits[["qid", "rank", "doc_id", "score", "n_child_hits"]] \
-        .sort_values(["qid", "rank"]).reset_index(drop=True)
+    return block_join_query_set(
+        IndexReader(documents_children_index(sf_dir)),
+        queries or DOC_QUERIES, score_mode)
 
 
 # ---------------------------------------------------------------------------
@@ -1533,10 +1261,7 @@ def hybrid_rrf_topk(sf_dir: str, *, k: int = 10, c: int = RRF_C,
     out = {"qid": [], "rank": [], "doc_id": [], "rrf": []}
     for qi, q in enumerate(HYBRID_QUERIES):
         docs, scores = reader.match_scores(q["query"])
-        keys = np.array([int(kk) for kk in reader.doc_keys(docs)],
-                        dtype=np.int64) if docs.size else \
-            np.empty(0, np.int64)
-        br = _rounded_rank(keys, scores).head(depth)
+        br = _rounded_rank(_orig_ids(reader, docs), scores).head(depth)
         kg = knn_all[knn_all["qid"] == qi]
         kr = _rounded_rank(kg["vec_id"].to_numpy(),
                            kg["score"].to_numpy()).head(depth)
@@ -1575,23 +1300,10 @@ def bm25_wildcard_topk_documents(sf_dir: str,
     """Wildcard-expansion BM25 (IndexReader.topk_wildcard; Lucene
     WildcardQuery / Solr ``m*ge`` analog).  Columns
     (qid, rank, doc_id, score) match the SQL oracle."""
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
-    rows = {"qid": [], "rank": [], "doc_id": [], "score": []}
-    for q in (queries or WILDCARD_QUERIES):
-        hits = reader.topk_wildcard(q["pattern"], q["k"], max_terms)
-        ids = np.array([h[0] for h in hits], dtype=np.int64)
-        keys = reader.doc_keys(ids)
-        for r, ((_, score), key) in enumerate(zip(hits, keys), 1):
-            rows["qid"].append(q["qid"])
-            rows["rank"].append(r)
-            rows["doc_id"].append(int(key))
-            rows["score"].append(round(score, 6))
-    return pd.DataFrame({
-        "qid": pd.Series(rows["qid"], dtype=np.int64),
-        "rank": pd.Series(rows["rank"], dtype=np.int64),
-        "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-        "score": pd.Series(rows["score"], dtype=np.float64)})
+    reader = IndexReader(documents_index(sf_dir))
+    return _query_set(reader, queries or WILDCARD_QUERIES,
+                      lambda q: reader.topk_wildcard(q["pattern"], q["k"],
+                                                     max_terms))
 
 
 # ---------------------------------------------------------------------------
@@ -1663,13 +1375,11 @@ def rerank_topk(sf_dir: str, main: str = "merge sort",
     each phase is the existing bounded top-(N+k) distributed search."""
     reader = IndexReader(documents_index(sf_dir))
     ids, sc = reader.match_scores(main)
-    keys = np.asarray([int(x) for x in reader.doc_keys(ids)],
-                      dtype=np.int64)
+    keys = _orig_ids(reader, ids)
     order = np.lexsort((keys, -sc))
     keys, sc = keys[order], sc[order]
     rids, rsc = reader.match_scores(rq)
-    rkeys = [int(x) for x in reader.doc_keys(rids)]
-    rmap = dict(zip(rkeys, rsc.tolist()))
+    rmap = dict(zip(_orig_ids(reader, rids).tolist(), rsc.tolist()))
     comb = sc.copy()
     n = min(rerank_docs, keys.size)
     comb[:n] += weight * np.asarray(
@@ -1723,8 +1433,7 @@ def join_query_topk(sf_dir: str, query: str = "merge sort",
         if parts else np.zeros(0, dtype=np.int64)
     reader = IndexReader(documents_index(sf_dir))
     ids, sc = reader.match_scores(query)
-    keys = np.asarray([int(x) for x in reader.doc_keys(ids)],
-                      dtype=np.int64)
+    keys = _orig_ids(reader, ids)
     mask = np.isin(keys, joined)
     keys, sc = keys[mask], sc[mask]
     order = np.lexsort((keys, -sc))[:k]
@@ -1789,8 +1498,7 @@ def ltr_features(sf_dir: str, queries: Optional[List[dict]] = None,
             continue
         ids = np.asarray([h[0] for h in hits], dtype=np.int64)
         scores = np.asarray([h[1] for h in hits], dtype=np.float64)
-        keys = np.asarray([int(x) for x in reader.doc_keys(ids)],
-                          dtype=np.int64)
+        keys = _orig_ids(reader, ids)
         dls = reader.doc_len(ids)
         terms = dedup_keep_order(reader.tokenizer(q["query"]))
         tf_mat = np.zeros((len(terms), ids.size), dtype=np.int64)
@@ -1956,8 +1664,7 @@ def boost_function_topk(sf_dir: str,
     all_keys = []
     for q in qs:
         ids, sc = reader.match_scores(q["query"])
-        keys = np.asarray([int(x) for x in reader.doc_keys(ids)],
-                          dtype=np.int64)
+        keys = _orig_ids(reader, ids)
         per_q.append((q, keys, sc))
         all_keys.append(keys)
     union = np.unique(np.concatenate(all_keys)) if all_keys else \
@@ -1965,16 +1672,11 @@ def boost_function_topk(sf_dir: str,
 
     nchars = {}
     if union.size:
-        matched_ref = ray.put(pa.array(union))
         ds = rd.read_parquet(os.path.join(sf_dir, "documents.parquet"),
                              columns=["doc_id", "n_chars"],
                              override_num_blocks=8)
-
-        def keep(t: pa.Table) -> pa.Table:
-            return t.filter(pc.is_in(t["doc_id"],
-                                     value_set=ray.get(matched_ref)))
-
-        flds = ds.map_batches(keep, batch_format="pyarrow").to_pandas()
+        flds = ds.map_batches(_keep_matched_fn(union),
+                              batch_format="pyarrow").to_pandas()
         nchars = dict(zip(flds["doc_id"].astype(np.int64),
                           flds["n_chars"].astype(np.int64)))
 
@@ -2105,9 +1807,7 @@ def rank_eval_metrics(sf_dir: str,
             docs, _ = reader.postings(t)
             docs = docs[reader.alive_mask(docs)]
             if docs.size:
-                term_keys.append(np.asarray(
-                    [int(x) for x in reader.doc_keys(docs)],
-                    dtype=np.int64))
+                term_keys.append(_orig_ids(reader, docs))
         if not term_keys:
             continue
         t_q = len(terms)
@@ -2116,8 +1816,7 @@ def rank_eval_metrics(sf_dir: str,
         relmap = dict(zip(union.tolist(), rel.tolist()))
 
         top = reader.topk(q["query"], k)
-        top_keys = [int(x) for x in reader.doc_keys(
-            np.asarray([d for d, _ in top], np.int64))]
+        top_keys = _orig_ids(reader, [d for d, _ in top]).tolist()
         gains = np.asarray([relmap.get(d, 0) for d in top_keys],
                            dtype=np.float64)
         pos = np.arange(1, gains.size + 1, dtype=np.float64)
@@ -2190,26 +1889,15 @@ def bm25_regexp_topk_documents(sf_dir: str,
     makes those ties explicit and doc-asc resolves them identically
     on both sides.  The full match set is scored (vocab-bounded
     expansion, same cost as the pruning path's candidate set)."""
-    idx = documents_index(sf_dir)
-    reader = IndexReader(idx)
-    rows = {"qid": [], "rank": [], "doc_id": [], "score": []}
-    for q in (queries or REGEXP_QUERIES):
+    reader = IndexReader(documents_index(sf_dir))
+
+    def ranked(q):
         hits = reader.topk_regexp(q["pattern"], 1 << 30, max_terms)
-        ids = np.array([h[0] for h in hits], dtype=np.int64)
-        keys = np.array([int(x) for x in reader.doc_keys(ids)],
-                        dtype=np.int64)
+        keys = _orig_ids(reader, [h[0] for h in hits])
         r6 = np.floor(np.array([h[1] for h in hits]) * 1e6 + 0.5) / 1e6
         order = np.lexsort((keys, -r6))[:q["k"]]
-        for r, i in enumerate(order, 1):
-            rows["qid"].append(q["qid"])
-            rows["rank"].append(r)
-            rows["doc_id"].append(int(keys[i]))
-            rows["score"].append(float(r6[i]))
-    return pd.DataFrame({
-        "qid": pd.Series(rows["qid"], dtype=np.int64),
-        "rank": pd.Series(rows["rank"], dtype=np.int64),
-        "doc_id": pd.Series(rows["doc_id"], dtype=np.int64),
-        "score": pd.Series(rows["score"], dtype=np.float64)})
+        return {"doc_id": keys[order], "score": r6[order]}
+    return _query_frame(queries or REGEXP_QUERIES, ranked)
 
 
 def rare_terms_documents(sf_dir: str, limit: int = 40

@@ -1642,7 +1642,14 @@ def q22_lapsed_customers(sf_dir: str, *, num_groups: int = 32
       groupby co-locates each key's rows, and the per-group probe is
       a vectorized inverted ``is_in``.  Group output is per-SEGMENT
       partials (O(segments) rows), so nothing row-sized leaves the
-      exchange."""
+      exchange.
+
+    Boundary: ``c_acctbal > avg_bal`` compares against a float fold
+    whose last bits depend on block order (DuckDB's ``avg`` sums in
+    its own order), so a balance within fold noise of the average
+    could land on either side.  At the test scale factors the nearest
+    balance is >= 0.07 away (pinned above 1e-6 by
+    test_round5::test_q22_balances_clear_the_average_boundary)."""
     cutoff = pa.scalar(Q22_CUTOFF.astype("datetime64[us]").item())
 
     cust = rd.read_parquet(os.path.join(sf_dir, "customer.parquet"),

@@ -163,7 +163,7 @@ def semdedup(sf_dir: str, *, k: int = 8, iters: int = 4,
                                num_blocks=num_blocks)
     # broadcast the tiny (vec_id -> cluster) map (two ints per vector;
     # at 10^9 vectors this becomes a per-shard side file, same as the
-    # docvalues assumption in FunctionBoostQueryActor) — the VECTORS
+    # docvalues assumption in flagship._doc_values) — the VECTORS
     # stay distributed and shuffle once, keyed by cluster.
     a_ids = assign["vec_id"].to_numpy()
     a_cl = assign["cluster"].to_numpy()

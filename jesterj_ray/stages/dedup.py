@@ -308,15 +308,18 @@ def minhash_lsh_pairs(ds: "ray.data.Dataset", *, text_field: str, id_field: str,
     blob) rows only — content never moves."""
 
     import ray as _ray
+    cpus = int(_ray.cluster_resources().get("CPU", 8))
     if join_partitions is None:
         # each join partition spins an aggregator actor: scale with the
         # cluster, floor of 2 so tiny runs don't serialize
-        join_partitions = max(2, int(_ray.cluster_resources()
-                                     .get("CPU", 8)) // 8)
+        join_partitions = max(2, cpus // 8)
 
+    # the MinHasher pool leaves one CPU free for the read tasks that feed
+    # it: a pool holding every CPU starves them and the stage never ends
     sigs = ds.map_batches(MinHasher, fn_constructor_kwargs={
         "text_field": text_field, "id_field": id_field, "k": k},
-        batch_format="pyarrow", concurrency=concurrency).materialize()
+        batch_format="pyarrow",
+        concurrency=min(concurrency, max(1, cpus - 1))).materialize()
 
     def explode_bands(batch: pa.Table) -> pa.Table:
         n = batch.num_rows

@@ -204,3 +204,42 @@ def test_filter_seen_ds():
     assert sorted(out["k"]) == [i for i in range(20) if i not in (3, 7, 11)]
     assert len(out) == 17
     assert set(out.columns) == {"k", "v"}
+
+
+def test_minhash_pool_leaves_a_cpu_for_its_reads(sf_dir):
+    """A MinHasher pool as large as the cluster holds every CPU, so the
+    parquet read tasks that feed it never run and the stage never ends.
+    Asking for ``concurrency`` = every CPU must still finish: run it in
+    its own 2-CPU Ray session under a hard timeout (the session's whole
+    process group is killed if it hangs)."""
+    import os
+    import signal
+    import subprocess
+    import sys
+    code = f"""
+import os, ray, ray.data as rd
+ray.init(address="local", num_cpus=2, include_dashboard=False,
+         logging_level="ERROR")
+from ray.data import DataContext
+DataContext.get_current().enable_progress_bars = False
+from jesterj_ray.stages.dedup import minhash_lsh_pairs
+ds = rd.read_parquet(os.path.join({sf_dir!r}, "documents.parquet"),
+                     columns=["doc_id", "text"], override_num_blocks=2)
+n = minhash_lsh_pairs(ds, text_field="text", id_field="doc_id",
+                      threshold=0.5, concurrency=2).count()
+print("PAIRS", n)
+ray.shutdown()
+"""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ, PYTHONPATH=root)
+    proc = subprocess.Popen([sys.executable, "-c", code], cwd=root, env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            text=True, start_new_session=True)
+    try:
+        out, err = proc.communicate(timeout=180)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert proc.returncode == 0, err[-2000:]
+    assert "PAIRS" in out

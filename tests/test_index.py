@@ -834,3 +834,28 @@ def test_cached_impacts_equal_uncached_formula(impact_variants, variant,
         assert r.phrase_topk(q, k) == phrase(0)
         assert r.phrase_slop_topk(q, slop, k) == phrase(slop)
     assert len(tiny._postings_cache) <= 2
+
+
+@pytest.mark.parametrize("mode", ["or", "and"])
+def test_query_actor_batch_stage_matches_flagship(mode):
+    """``QueryActor`` is the Ray Data batch-search stage for long query
+    streams; the flagship entries answer their fixed query sets on one
+    in-driver reader.  Run through ``map_batches``, the actor pool must
+    give the same (qid, rank, doc_key, score) rows."""
+    from jesterj_ray.index.query import QueryActor
+    from jesterj_ray.pipelines.flagship import (DOC_QUERIES,
+                                                bm25_topk_documents,
+                                                documents_index)
+    sf = "/root/testdata/sf0.001"
+    want = bm25_topk_documents(sf, mode=mode)
+    got = rd.from_items(DOC_QUERIES, override_num_blocks=3).map_batches(
+        QueryActor, fn_constructor_kwargs={
+            "index_dir": documents_index(sf), "mode": mode},
+        batch_format="pandas", batch_size=2, concurrency=2).to_pandas()
+    got = got.sort_values(["qid", "rank"]).reset_index(drop=True)
+    assert len(want) > 0 and len(got) == len(want)
+    assert got["qid"].tolist() == want["qid"].tolist()
+    assert got["rank"].tolist() == want["rank"].tolist()
+    assert got["doc_key"].astype(np.int64).tolist() == \
+        want["doc_id"].tolist()
+    assert got["score"].round(6).tolist() == want["score"].tolist()
