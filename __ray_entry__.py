@@ -550,12 +550,13 @@ def _analyzed_token_counts(sf_dir: str):
     # schema-driven analyzer chain (tokenize/analyzer.py, the
     # SolrSchemaUtil.readAnalyzer analog): pattern tokenize -> lowercase
     # -> stop -> length band -> S-stemmer, compiled once per actor
+    from jesterj_ray import pool_size
     from jesterj_ray.tokenize.analyzer import (ENGLISH_COUNTS_CONFIG,
                                                AnalyzedTokenStats)
     out = _doc(sf_dir, ["doc_id", "text"]).map_batches(
         AnalyzedTokenStats,
         fn_constructor_kwargs={"config": ENGLISH_COUNTS_CONFIG},
-        batch_format="pyarrow", concurrency=2).to_pandas()
+        batch_format="pyarrow", concurrency=pool_size(2)).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True)
 
 
@@ -590,10 +591,11 @@ def _bpe_count(sf_dir: str):
 
 
 def _lang_id(sf_dir: str):
+    from jesterj_ray import pool_size
     from jesterj_ray.stages.textstats import LangId
     return _doc(sf_dir, ["doc_id", "text"]).map_batches(
         LangId, fn_constructor_kwargs={"text_field": "text"},
-        batch_format="pyarrow", concurrency=2) \
+        batch_format="pyarrow", concurrency=pool_size(2)) \
         .select_columns(["doc_id", "lang_pred"])
 
 
@@ -1612,6 +1614,7 @@ def _status_sink(sf_dir: str):
     import shutil
     import pyarrow.parquet as pq
     import ray.data as rd
+    from jesterj_ray import pool_size
     from jesterj_ray.stages.dedup import add_sha256
     from jesterj_ray.stages.senders import StatusSink
     out = "/tmp/jjray_cache/status_sink"
@@ -1622,7 +1625,7 @@ def _status_sink(sf_dir: str):
                         fn_kwargs={"field": "text"})
     ds.map_batches(StatusSink, fn_constructor_kwargs={
         "out_dir": out, "destination": "index"},
-        batch_format="pyarrow", concurrency=2).materialize()
+        batch_format="pyarrow", concurrency=pool_size(2)).materialize()
     t = pa.concat_tables([pq.read_table(f) for f in
                           sorted(glob.glob(out + "/*.parquet"))])
     df = t.select(["doc_id", "content_sha256", "destination", "status"]) \

@@ -18,3 +18,15 @@ Nothing here ports reference code; the reference defines WHAT to compute
 """
 
 __version__ = "0.1.0"
+
+
+def pool_size(want: int) -> int:
+    """Actor-pool size for ``map_batches(concurrency=...)``: ``want``,
+    capped to leave one cluster CPU free (a pool that holds every CPU
+    starves the read tasks that feed it, and the stage never ends)."""
+    import os
+
+    import ray
+    cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() \
+        else os.cpu_count()
+    return min(want, max(1, int(cpus) - 1))

@@ -39,6 +39,7 @@ import pyarrow as pa
 import ray
 
 from .knn import _normalize, list_vectors
+from .. import pool_size
 
 
 def train_pq(ds: "ray.data.Dataset", *, m: int = 8, k: int = 16,
@@ -118,7 +119,7 @@ def encode_pq(ds: "ray.data.Dataset", books: np.ndarray,
     return ds.map_batches(PQEncoder, batch_format="pyarrow",
                           fn_constructor_kwargs={
                               "books_ref": ray.put(books), **kw},
-                          concurrency=2)
+                          concurrency=pool_size(2))
 
 
 def pq_topk(codes_ds: "ray.data.Dataset", books: np.ndarray,

@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 from typing import Callable, Dict, List, Sequence, Tuple
 
-import numpy as np
 
 K1 = 1.2
 B = 0.75
@@ -102,14 +101,6 @@ class BruteForceIndex:
         scores = self.score_all(" ".join(dedup_keep_order(terms)))
         hits = [(d, scores.get(d, 0.0)) for d in matched]
         return sorted(hits, key=lambda kv: (-kv[1], kv[0]))[:k]
-
-
-def bm25_term_scores(tfs: np.ndarray, dls: np.ndarray, n_docs: int, df: int,
-                     avgdl: float) -> np.ndarray:
-    """Vectorized per-posting BM25 contribution for one term (float64)."""
-    tfs = tfs.astype(np.float64)
-    w = idf(n_docs, df)
-    return w * tfs * (K1 + 1.0) / (tfs + K1 * (1.0 - B + B * dls.astype(np.float64) / avgdl))
 
 
 def parse_boosted_query(query: str, tokenizer) -> (

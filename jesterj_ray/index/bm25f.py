@@ -42,6 +42,7 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
+from . import ledger
 from .bm25 import K1, dedup_keep_order, idf
 from .query import IndexReader
 
@@ -256,7 +257,6 @@ def _family_diff_state(field_dirs: Dict[str, str]) -> Dict[str, str]:
     across the family."""
     import hashlib
     import json as _json
-    import os as _os
 
     from ..state.manifest import Manifest
     out: Dict[str, str] = {}
@@ -265,15 +265,8 @@ def _family_diff_state(field_dirs: Dict[str, str]) -> Dict[str, str]:
         mrec = {str(pid): (r.get("status"), r.get("input_fingerprint"),
                            r.get("docs_seen"))
                 for pid, r in recs.items()}
-        state = [mrec]
-        for name in ("delta_overlay.json", "tombstones.json",
-                     "tombstones.pending.json"):
-            p = _os.path.join(d, name)
-            if _os.path.exists(p):
-                with open(p) as fh:
-                    state.append(_json.load(fh))
-            else:
-                state.append(None)
+        state = [mrec, ledger.read_overlay(d), ledger.tombstone_ids(d),
+                 ledger.tombstone_ids(d, (ledger.PENDING,))]
         out[f] = hashlib.sha1(
             _json.dumps(state, sort_keys=True).encode()).hexdigest()
     return out
@@ -289,75 +282,24 @@ def watch_and_reindex_fields(pattern: str, field_dirs: Dict[str, str], *,
                              num_shards: int = 8,
                              compact_every: Optional[int] = None,
                              on_publish=None):
-    """Continuous rescan loop for a WHOLE field family — the
-    ``build_rows.watch_and_reindex`` analog over BM25F (reference: the
-    interval scanner re-feeds changed docs and Solr updates every field
-    of the document at once, ``ScannerImpl.java:219-258,453-502``).
-
-    Cycle: glob ``pattern`` (the family's split parquet); first cycle
-    base-builds every field with ``change_col``; later cycles
-    :func:`delta_reindex_fields` (one changed doc re-tokenizes once per
-    field, doc spaces stay aligned).  ``compact_every=N`` compacts
-    every field after every N delta cycles — each field compacts from
-    identical tombstones/manifests, so alignment survives compaction
+    """The watch loop (``build_rows._watch_cycles``) over a WHOLE field
+    family (reference: the interval scanner re-feeds changed docs and
+    Solr updates every field of the document at once,
+    ``ScannerImpl.java:219-258,453-502``).  The first cycle base-builds
+    every field with ``change_col``, later cycles run
+    :func:`delta_reindex_fields`, and ``compact_every=N`` compacts every
+    field from identical tombstones/manifests, so alignment survives
     (BM25FReader's doc-space guard verifies).  ``on_publish(stats)``
-    fires after each cycle's epochs publish — after a compacting cycle,
-    re-split the family into the serving slice root
-    (``repartition_bm25f_for_serving``) and call the sharded service's
-    ``reopen`` there, and queries keep serving across the loop
-    (tests/test_bm25f_delta.py pins the full
-    delta -> compact -> re-split -> reopen -> parity cycle).
-
-    Yields per-cycle stats like watch_and_reindex."""
-    import glob as _glob
-    import time as _time
-
-    from ..state.manifest import Manifest
-    from .build_rows import build_index_rows
-    cycle = 0
-    while max_cycles is None or cycle < max_cycles:
-        if cycle:
-            _time.sleep(interval_s)
-        paths = sorted(_glob.glob(pattern))
-        if not paths:
-            yield {"cycle": cycle, "n_docs": 0, "paths": 0}
-            cycle += 1
-            continue
-        kw = dict(key_col=key_col, tokenizer=tokenizer,
-                  docs_per_partition=docs_per_partition,
-                  num_shards=num_shards)
-        # base path whenever ANY field is incomplete: a crash mid-way
-        # through the first cycle's per-field builds must resume the
-        # missing fields (build_index_rows resume=True), not take the
-        # delta path and wedge on a permanently diverged family
-        all_complete = all(
-            Manifest(d, "build").completed_partitions()
-            for d in field_dirs.values())
-        if not all_complete:
-            per = {f: build_index_rows(paths, d, text_col=f,
-                                       change_col=change_col, **kw)
-                   for f, d in sorted(field_dirs.items())}
-            stats = {"cycle": cycle, "mode": "base",
-                     "paths": len(paths), "fields": per}
-        else:
-            per = delta_reindex_fields(paths, field_dirs,
-                                       change_col=change_col, **kw)
-            stats = {"cycle": cycle, "mode": "delta",
-                     "paths": len(paths), "fields": per}
-            if compact_every and cycle % compact_every == 0:
-                from .compact import compact_index
-                stats["compaction"] = {
-                    f: compact_index(d)
-                    for f, d in sorted(field_dirs.items())}
-                # FTI history TTL, same as the single-index loop
-                # (build_rows.watch_and_reindex): an eternal family
-                # loop's status history stays time-bounded
-                stats["history_expired"] = sum(
-                    Manifest(d, stage).expire_history()
-                    for d in field_dirs.values()
-                    for stage in ("build", "merge"))
-        if on_publish is not None:
-            on_publish(stats)
-        yield stats
-        cycle += 1
-
+    fires after each cycle's epochs publish: after a compacting cycle,
+    re-split the family (``repartition_bm25f_for_serving``) and
+    ``reopen`` the sharded service there (tests/test_bm25f_delta.py
+    pins delta -> compact -> re-split -> reopen -> parity).  Yields
+    {cycle, mode, paths, fields[, compaction, history_expired]}."""
+    from .build_rows import _watch_cycles
+    return _watch_cycles(pattern, field_dirs, change_col=change_col,
+                         positions=False, interval_s=interval_s,
+                         max_cycles=max_cycles, compact_every=compact_every,
+                         on_publish=on_publish, key_col=key_col,
+                         tokenizer=tokenizer,
+                         docs_per_partition=docs_per_partition,
+                         num_shards=num_shards)

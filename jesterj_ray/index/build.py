@@ -50,7 +50,7 @@ from __future__ import annotations
 import hashlib
 import os
 from itertools import chain
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 import numpy as np
 import pandas as pd
@@ -263,6 +263,21 @@ def _ranges_gather(data: np.ndarray, starts: np.ndarray,
     cum = np.cumsum(lens)
     base = np.repeat(starts - np.concatenate(([0], cum[:-1])), lens)
     return data[base + np.arange(total, dtype=np.int64)]
+
+
+def regroup_runs(docs: np.ndarray, tfs: np.ndarray,
+                 pos: Optional[np.ndarray], key: np.ndarray, n_groups: int
+                 ) -> Dict[str, pa.ChunkedArray]:
+    """The one posting-row transcoder: decoded postings re-encoded as
+    ``n_groups`` run rows, posting i into row ``key[i]`` (dropped when
+    < 0), stable within a row; positions travel with their posting (they
+    restart per doc).  A row that keeps no posting has count 0."""
+    kept = np.flatnonzero(key >= 0)
+    order = kept[np.argsort(key[kept], kind="stable")]
+    if pos is not None:
+        pos = _ranges_gather(pos, (np.cumsum(tfs) - tfs)[order], tfs[order])
+    return encode_runs(_cum0(np.bincount(key[order], minlength=n_groups)),
+                       docs[order], tfs[order], pos)
 
 
 def _concat_groups_binary(arr: pa.Array, gb: np.ndarray) -> pa.Array:
@@ -699,9 +714,14 @@ def merge_runs(out_dir: str, num_shards: int,
             stale.append({"shard": shard})
     if stale:
         # each task re-plans its shard: the same manifest row and stats
-        ray.data.from_items(stale, override_num_blocks=len(stale)) \
-            .map_batches(writer, batch_format="pandas",
-                         batch_size=1).materialize()
+        one_task_each(stale, writer)
+
+
+def one_task_each(items: List[Dict], fn) -> pd.DataFrame:
+    """One Ray task per item: ``fn`` over a one-row pandas batch; the
+    frames the tasks return, concatenated."""
+    return ray.data.from_items(items, override_num_blocks=len(items)) \
+        .map_batches(fn, batch_format="pandas", batch_size=1).to_pandas()
 
 
 def term_shard(terms: pa.ChunkedArray, num_shards: int) -> np.ndarray:

@@ -25,7 +25,6 @@ with input order and are identical at any num_cpus.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 from typing import Dict, List, Optional
 
@@ -34,16 +33,15 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
-
 from ..state.manifest import (Manifest, MAX_ATTEMPTS, STATUS_DEAD,
                               STATUS_DIRTY, STATUS_DROPPED, STATUS_ERROR,
                               STATUS_FORCE, STATUS_INDEXED, STATUS_PROCESSING,
-                              STATUS_RESTART, STATUS_SEARCHABLE,
-                              atomic_write_bytes)
+                              STATUS_RESTART, STATUS_SEARCHABLE)
 from ..tokenize.tokenizer import TOKENIZERS
+from . import ledger
 from .epoch import publish_epoch
-from .build import DOC_BITS, _index_partition_tables, merge_runs
+from .build import (DOC_BITS, _index_partition_tables, merge_runs,
+                    one_task_each)
 
 
 def plan_row_partitions(paths: List[str], docs_per_partition: int = 50_000
@@ -85,16 +83,17 @@ def _part_fingerprint(part: Dict) -> str:
 from .build import DELTA_PID_BASE  # noqa: E402
 
 
-def _drop_stale_partitions(out_dir: str, man: Manifest, stale) -> None:
-    """Delete every artifact of partitions no longer in the current plan:
-    manifest row, doc table, and the pid's slice of every run shard."""
+def _drop_partitions(out_dir: str, man: Manifest, pids) -> None:
+    """Delete every artifact of partitions no longer in the current plan
+    (or compacted away): manifest row, doc table, quarantine table, and
+    the pid's slice of every run shard."""
     runs_dir = os.path.join(out_dir, "runs")
     shard_dirs = [os.path.join(runs_dir, d) for d in os.listdir(runs_dir)] \
         if os.path.isdir(runs_dir) else []
-    for pid in sorted(stale):
+    for pid in sorted(pids):
         man.log(pid, STATUS_DROPPED)  # history keeps the terminal record
-        for path in ([os.path.join(man.dir, f"part-{pid:05d}.json"),
-                      os.path.join(out_dir, "docs", f"part-{pid:05d}.parquet"),
+        man.forget(pid)
+        for path in ([os.path.join(out_dir, "docs", f"part-{pid:05d}.parquet"),
                       os.path.join(out_dir, "quarantine",
                                    f"part-{pid:05d}.parquet")] +
                      [os.path.join(d, f"part-{pid:05d}.parquet")
@@ -105,14 +104,56 @@ def _drop_stale_partitions(out_dir: str, man: Manifest, stale) -> None:
                 pass
 
 
-def _mark_searchable(man: Manifest, recs: Dict[int, Dict]) -> None:
-    """After a successful merge, record the INDEXED -> SEARCHABLE
+def _commit_stats(out_dir: str, man: Manifest, *, tokenizer: str,
+                  positions: bool, num_partitions: Optional[int],
+                  num_shards: int, change_col: Optional[str],
+                  exact_stats: bool = False) -> Dict:
+    """After a successful merge: record the INDEXED -> SEARCHABLE
     transition (Status.java: a doc is SEARCHABLE once the index serves
-    it) for partitions not already marked."""
+    it) for partitions not already marked, then write the stats of the
+    committed manifest.  ``num_partitions=None`` counts its records."""
+    recs = man.all()
     for pid, r in recs.items():
         if r.get("status") == STATUS_INDEXED and \
                 man.last_logged_status(pid) != STATUS_SEARCHABLE:
             man.log(pid, STATUS_SEARCHABLE)
+    fields = {"tokenizer": tokenizer, "positions": positions,
+              "num_partitions": len(recs) if num_partitions is None
+              else num_partitions,
+              "num_shards": num_shards}
+    if exact_stats:
+        fields["exact_stats"] = True
+    fields["dead_partitions"] = sorted(p for p, r in recs.items()
+                                       if r["status"] == STATUS_DEAD)
+    if change_col:
+        fields["change_col"] = change_col
+    from ..tokenize.analyzer import ANALYZER_CONFIGS
+    if tokenizer in ANALYZER_CONFIGS:
+        # schema-driven analyzer: persist the config so readers in
+        # other processes re-register it from stats alone
+        fields["analyzer_config"] = ANALYZER_CONFIGS[tokenizer]
+    return ledger.commit_stats(out_dir, recs, fields)
+
+
+def _read_partition(part: Dict, text_col: str, key_col: Optional[str],
+                    change_col: Optional[str]) -> pd.DataFrame:
+    """One planned partition's rows (only its row groups) with the
+    derived ``doc_key`` and the ``content_sha256`` of ``change_col``
+    (default: ``text_col``)."""
+    sha_col = change_col or text_col
+    cols = list(dict.fromkeys(
+        [text_col, sha_col] + ([key_col] if key_col else [])))
+    g = pq.ParquetFile(part["path"]).read_row_groups(
+        list(part["row_groups"]), columns=cols).to_pandas()
+    if key_col:
+        g["doc_key"] = g[key_col].astype(str).str.zfill(12)
+    else:
+        g["doc_key"] = [f"{os.path.basename(part['path'])}"
+                        f":{part['row_groups'][0]}:{i}"
+                        for i in range(len(g))]
+    g["content_sha256"] = [hashlib.sha256((x or "").encode()).hexdigest()
+                           for x in g[sha_col]]
+    return g
 
 
 def make_row_indexer(out_dir: str, *, tokenizer: str, text_col: str,
@@ -127,7 +168,6 @@ def make_row_indexer(out_dir: str, *, tokenizer: str, text_col: str,
     in ALL fields and the shared doc space stays aligned."""
     tok = TOKENIZERS[tokenizer]
     fail = set(fail_pids or [])
-    sha_col = change_col or text_col
 
     def row_indexer(batch: pd.DataFrame) -> pd.DataFrame:
         # one Arrow compute thread per task: Ray already schedules one task
@@ -158,20 +198,7 @@ def make_row_indexer(out_dir: str, *, tokenizer: str, text_col: str,
                     raise RuntimeError(f"injected failure for pid {pid}")
                 if attempt > MAX_ATTEMPTS:
                     raise RuntimeError("max attempts exceeded")
-                cols = list(dict.fromkeys(
-                    [text_col, sha_col] + ([key_col] if key_col else [])))
-                t = pq.ParquetFile(part["path"]).read_row_groups(
-                    list(part["row_groups"]), columns=cols)
-                g = t.to_pandas()
-                if key_col:
-                    g["doc_key"] = g[key_col].astype(str).str.zfill(12)
-                else:
-                    g["doc_key"] = [f"{os.path.basename(part['path'])}"
-                                    f":{part['row_groups'][0]}:{i}"
-                                    for i in range(len(g))]
-                g["content_sha256"] = [
-                    hashlib.sha256((x or "").encode()).hexdigest()
-                    for x in g[sha_col]]
+                g = _read_partition(part, text_col, key_col, change_col)
                 fingerprint = _part_fingerprint(part)
                 rec = _index_partition_tables(
                     g, pid, out_dir, tok, text_col,
@@ -200,9 +227,7 @@ def _run_indexer(out_dir: str, parts: List[Dict], indexer) -> None:
     so no task of a failed build is still writing run/docs files when
     the next build (a resume) plans, merges and publishes its epoch —
     and every partition that can commit has committed."""
-    res = ray.data.from_items(parts, override_num_blocks=len(parts)) \
-        .map_batches(indexer, batch_format="pandas", batch_size=1) \
-        .to_pandas()
+    res = one_task_each(parts, indexer)
     failed = sorted(int(p) for p in
                     res.loc[res["status"] == STATUS_ERROR, "partition_id"])
     if failed:
@@ -218,10 +243,8 @@ def _make_partition_differ(out_dir: str, *, text_col: str,
                            num_shards: int, positions: bool,
                            cat_sha_ref, cat_id_ref,
                            change_col: Optional[str] = None):
-    """map_batches fn for the DISTRIBUTED per-partition diff (r02 VERDICT
-    #1 — the old diff ran sequentially on the driver and accumulated full
-    document TEXT in driver memory; a FORCE over many partitions
-    materialized the whole changed set).  Each task diffs ONE changed
+    """map_batches fn for the DISTRIBUTED per-partition diff (document
+    text never reaches the driver).  Each task diffs ONE changed
     partition's slice against its stored doc table, tokenizes and writes
     any changed docs straight into its RESERVED delta partition, refreshes
     the source partition's manifest fingerprint, and returns only small
@@ -234,13 +257,9 @@ def _make_partition_differ(out_dir: str, *, text_col: str,
 
     The overlay catalog ships READ-ONLY as two broadcast pandas Series
     (key -> sha, key -> id): a key lives in exactly one partition's slice,
-    so snapshot semantics equal the old sequential mutation order.
-
-    ``change_col`` (field families): change detection hashes this
-    column instead of ``text_col``, so every field of a family sees
-    the SAME changed-doc set (see make_row_indexer)."""
+    so snapshot semantics equal a sequential diff.  ``change_col``: see
+    make_row_indexer."""
     tok = TOKENIZERS[tokenizer]
-    sha_col = change_col or text_col
 
     def differ(batch: pd.DataFrame) -> pd.DataFrame:
         import ray as _ray
@@ -261,20 +280,7 @@ def _make_partition_differ(out_dir: str, *, text_col: str,
             pid = int(part["pid"])
             delta_pid = int(part["delta_pid"])
             force = bool(part["force"])
-            cols = list(dict.fromkeys(
-                [text_col, sha_col] + ([key_col] if key_col else [])))
-            t = pq.ParquetFile(part["path"]).read_row_groups(
-                list(part["row_groups"]), columns=cols)
-            g = t.to_pandas()
-            if key_col:
-                g["doc_key"] = g[key_col].astype(str).str.zfill(12)
-            else:
-                g["doc_key"] = [f"{os.path.basename(part['path'])}"
-                                f":{part['row_groups'][0]}:{i}"
-                                for i in range(len(g))]
-            g["content_sha256"] = [
-                hashlib.sha256((x or "").encode()).hexdigest()
-                for x in g[sha_col]]
+            g = _read_partition(part, text_col, key_col, change_col)
             old = pq.read_table(
                 os.path.join(out_dir, "docs", f"part-{pid:05d}.parquet"),
                 columns=["doc_id", "doc_key", "content_sha256"]).to_pandas()
@@ -322,16 +328,8 @@ def _make_partition_differ(out_dir: str, *, text_col: str,
                          id_=(delta_pid << DOC_BITS) | rank, pid=pid)
             # the partition's surviving runs/docs stay valid: refresh its
             # fingerprint so future resumes don't re-index it wholesale
-            rec = man.read(pid) or {}
-            man.commit(pid, status=STATUS_INDEXED,
-                       input_fingerprint=part["fingerprint"],
-                       docs_seen=rec.get("docs_seen", 0),
-                       terms_emitted=rec.get("terms_emitted", 0),
-                       bytes_written=rec.get("bytes_written", 0),
-                       dl_sum=rec.get("dl_sum", 0),
-                       output_files=rec.get("output_files", []),
-                       attempt=rec.get("attempt", 1),
-                       message="delta-diffed")
+            man.recommit(pid, input_fingerprint=part["fingerprint"],
+                         message="delta-diffed")
         return pd.DataFrame(out)
 
     return differ
@@ -363,8 +361,6 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
 
     Returns {n_docs (alive), reindexed_docs, tombstoned, delta_partitions}.
     """
-    import json as _json
-
     import ray as _ray
 
     if isinstance(paths, str):
@@ -372,16 +368,8 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
     # the delta MUST tokenize exactly like the base build: mixed
     # tokenizers would give changed docs different postings, and mixed
     # positions flags would give runs inconsistent schemas
-    stats_path = os.path.join(out_dir, "stats.json")
-    if os.path.exists(stats_path):
-        with open(stats_path) as f:
-            base_stats = json.load(f)
-        if base_stats.get("analyzer_config") is not None:
-            # schema-driven analyzer: resolvable from the base's
-            # persisted config in a fresh process
-            from ..tokenize.analyzer import ensure_registered
-            ensure_registered(base_stats["tokenizer"],
-                              base_stats["analyzer_config"])
+    if ledger.has_stats(out_dir):
+        base_stats = ledger.read_stats(out_dir)
         if base_stats.get("tokenizer") != tokenizer or \
                 bool(base_stats.get("positions")) != bool(positions):
             raise ValueError(
@@ -397,13 +385,16 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
                 f"{base_stats.get('change_col')!r}, got {change_col!r} — "
                 "mixed change detection would diverge a field family's "
                 "doc spaces")
+        # a schema-driven analyzer resolves from the base's persisted
+        # config in a fresh process
+        ledger.tokenizer_of(base_stats)
     parts = plan_row_partitions(paths, docs_per_partition)
     man = Manifest(out_dir, "build")
     recs = man.all()
     # stale = planned-range pids no longer planned; delta pids persist
     stale_pids = {pid for pid in recs if pid < DELTA_PID_BASE} - \
         {p["pid"] for p in parts}
-    _drop_stale_partitions(out_dir, man, stale=stale_pids)
+    _drop_partitions(out_dir, man, stale_pids)
     recs = {pid: r for pid, r in recs.items()
             if pid >= DELTA_PID_BASE or pid in {p["pid"] for p in parts}}
 
@@ -416,12 +407,7 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
     # Entries: doc_key -> {id, sha, home} where home is the planned pid
     # whose input slice last contained the doc (kept current every round
     # so deletions are detected by "home partition diffed, key unseen").
-    cat_path = os.path.join(out_dir, "delta_overlay.json")
-    tomb_path = os.path.join(out_dir, "tombstones.json")
-    catalog: Dict[str, Dict] = {}
-    if os.path.exists(cat_path):
-        with open(cat_path) as f:
-            catalog = _json.load(f)
+    catalog = ledger.read_overlay(out_dir)
 
     # classify partitions DRIVER-SIDE from metadata only (fingerprints are
     # stat() calls, no data read): unchanged / fresh (brand-new planned
@@ -489,10 +475,8 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
             finally:
                 pa.set_cpu_count(_prev_cpu)
         else:
-            book = ray.data.from_items(
-                diff_parts, override_num_blocks=len(diff_parts)) \
-                .map_batches(differ, batch_format="pandas", batch_size=1) \
-                .to_pandas()  # O(changed+sightings+deletions) rows, no text
+            # O(changed+sightings+deletions) rows, no text
+            book = one_task_each(diff_parts, differ)
         dead_ids.extend(int(x) for x in
                         book.loc[book["kind"] == "dead", "id"])
         for _, r in book[book["kind"] == "sighted"].iterrows():
@@ -522,67 +506,23 @@ def delta_reindex(paths, out_dir: str, *, text_col: str = "text",
                                  "home": int(r["pid"])}
         delta_pids = sorted({int(i) >> DOC_BITS for i in adds["id"]})
 
-    atomic_write_bytes(cat_path, _json.dumps(catalog).encode())
+    ledger.write_overlay(out_dir, catalog)
 
-    # STAGE the dead ids durably BEFORE the merge: the differ tasks have
-    # already refreshed the partitions' input fingerprints, so a crash
-    # from here on would never recompute this diff — without a durable
-    # record the old copies would serve forever (duplicate docs).  The
-    # serving tombstone file itself still updates only AFTER the merge so
-    # deletions and their replacement postings become visible together
-    # (ADVICE r02); a crash between the two is healed by the pending-file
-    # fold-in at the top of the next delta round.
-    pend_path = os.path.join(out_dir, "tombstones.pending.json")
-    if dead_ids:
-        prior_pend: List[int] = []
-        if os.path.exists(pend_path):
-            with open(pend_path) as f:
-                prior_pend = _json.load(f).get("doc_ids", [])
-        atomic_write_bytes(pend_path, _json.dumps(
-            {"doc_ids": sorted(set(prior_pend) | set(dead_ids))}).encode())
+    # the dead ids are STAGED durably before the merge: the differ tasks
+    # have already refreshed the partitions' input fingerprints, so a
+    # crash from here on would never recompute this diff.  The serving
+    # tombstones update only after the merge, so deletions and their
+    # replacement postings become visible together (ADVICE r02).
+    with ledger.deletions_staged(out_dir, dead_ids):
+        merge_runs(out_dir, num_shards)
 
-    merge_runs(out_dir, num_shards)
-
-    # fold pending deletions into the serving tombstone set (atomic
-    # merge, same file the Operation.DELETE path uses)
-    if os.path.exists(pend_path):
-        with open(pend_path) as f:
-            pend = _json.load(f).get("doc_ids", [])
-        existing: List[int] = []
-        if os.path.exists(tomb_path):
-            with open(tomb_path) as f:
-                existing = _json.load(f).get("doc_ids", [])
-        atomic_write_bytes(tomb_path, _json.dumps(
-            {"doc_ids": sorted(set(existing) | set(pend))}).encode())
-        os.unlink(pend_path)
-
-    recs = Manifest(out_dir, "build").all()
-    _mark_searchable(man, recs)
-    n_docs = sum(r["docs_seen"] for r in recs.values()
-                 if r["status"] == STATUS_INDEXED)
-    dl_sum = sum(r.get("dl_sum", 0) for r in recs.values()
-                 if r["status"] == STATUS_INDEXED)
-    stats = {"n_docs": int(n_docs), "dl_sum": int(dl_sum),
-             "avgdl": (dl_sum / n_docs) if n_docs else 0.0,
-             "tokenizer": tokenizer, "positions": positions,
-             "num_partitions": len(recs), "num_shards": num_shards,
-             "exact_stats": True,
-             "dead_partitions": sorted(p for p, r in recs.items()
-                                       if r["status"] == STATUS_DEAD)}
-    if change_col:
-        stats["change_col"] = change_col
-    from ..tokenize.analyzer import ANALYZER_CONFIGS
-    if tokenizer in ANALYZER_CONFIGS:
-        stats["analyzer_config"] = ANALYZER_CONFIGS[tokenizer]
-    atomic_write_bytes(os.path.join(out_dir, "stats.json"),
-                       _json.dumps(stats).encode())
+    stats = _commit_stats(out_dir, man, tokenizer=tokenizer,
+                          positions=positions, num_partitions=None,
+                          num_shards=num_shards, change_col=change_col,
+                          exact_stats=True)
     publish_epoch(out_dir)
     # alive docs = every indexed row minus the CUMULATIVE tombstone set
-    all_tombs: List[int] = []
-    if os.path.exists(tomb_path):
-        with open(tomb_path) as f:
-            all_tombs = _json.load(f).get("doc_ids", [])
-    return {"n_docs": int(n_docs) - len(all_tombs),
+    return {"n_docs": stats["n_docs"] - len(ledger.tombstone_ids(out_dir)),
             "reindexed_docs": int(n_reindexed),
             "tombstoned": len(set(dead_ids)),
             "delta_partitions": delta_pids}
@@ -605,40 +545,65 @@ def watch_and_reindex(pattern: str, out_dir: str, *, interval_s: float = 5.0,
     N delta cycles, so an eternal loop keeps tombstones / overlay /
     generations bounded (Cassandra-compaction analog; pause concurrent
     serving during the compacting cycle — see index/compact.py)."""
+    return _watch_cycles(pattern, {text_col: out_dir}, change_col=None,
+                         positions=positions, interval_s=interval_s,
+                         max_cycles=max_cycles, compact_every=compact_every,
+                         key_col=key_col, tokenizer=tokenizer,
+                         docs_per_partition=docs_per_partition,
+                         num_shards=num_shards)
+
+
+def _watch_cycles(pattern: str, field_dirs: Dict[str, str], *,
+                  change_col: Optional[str], positions: bool,
+                  interval_s: float, max_cycles: Optional[int],
+                  compact_every: Optional[int], on_publish=None, **kw):
+    """The one watch loop, over indexes ``{text_col: dir}``: a single
+    index is ``{text_col: out_dir}`` with ``change_col=None`` (cycle
+    stats are its own), a field family's go per field under "fields".
+    Each cycle globs, base-builds while ANY index lacks a committed
+    partition (a crash mid-way through a family's first builds resumes
+    the missing fields), else runs a delta; every ``compact_every``
+    cycles compacts and expires the FTI status history (reference TTL:
+    90 days) of the build and merge stages; ``on_publish(stats)``."""
     import glob as _glob
     import time as _time
+
+    def shaped(per: Dict[str, Dict]) -> Dict:
+        return per[next(iter(per))] if change_col is None else per
+
     cycle = 0
     while max_cycles is None or cycle < max_cycles:
         if cycle:
             _time.sleep(interval_s)
         paths = sorted(_glob.glob(pattern))
-        kw = dict(text_col=text_col, key_col=key_col, tokenizer=tokenizer,
-                  docs_per_partition=docs_per_partition,
-                  num_shards=num_shards, positions=positions)
         if not paths:
             yield {"cycle": cycle, "n_docs": 0, "paths": 0}
             cycle += 1
             continue
-        man = Manifest(out_dir, "build")
-        if not man.completed_partitions():
-            stats = build_index_rows(paths, out_dir, **kw)
-            stats = {"cycle": cycle, "mode": "base",
-                     "paths": len(paths)} | stats
+        mode = "delta" if all(Manifest(d, "build").completed_partitions()
+                              for d in field_dirs.values()) else "base"
+        if mode == "base" or change_col is None:
+            step = build_index_rows if mode == "base" else delta_reindex
+            per = {f: step(paths, d, text_col=f, positions=positions,
+                           change_col=change_col, **kw)
+                   for f, d in sorted(field_dirs.items())}
         else:
-            stats = delta_reindex(paths, out_dir, **kw)
-            stats = {"cycle": cycle, "mode": "delta",
-                     "paths": len(paths)} | stats
-            if compact_every and cycle % compact_every == 0:
-                from .compact import compact_index
-                stats["compaction"] = compact_index(out_dir)
-                # FTI record TTL (reference: 90 days): expire old status
-                # transitions alongside compaction so an eternal loop's
-                # history stays time-bounded, not just line-bounded —
-                # EVERY history stage (build + the per-shard merge
-                # commits), not just the build manifest's
-                stats["history_expired"] = sum(
-                    Manifest(out_dir, stage).expire_history()
-                    for stage in ("build", "merge"))
+            from .bm25f import delta_reindex_fields
+            per = delta_reindex_fields(paths, field_dirs,
+                                       change_col=change_col,
+                                       positions=positions, **kw)
+        stats = {"cycle": cycle, "mode": mode, "paths": len(paths)}
+        stats |= shaped(per) if change_col is None else {"fields": per}
+        if mode == "delta" and compact_every and \
+                cycle % compact_every == 0:
+            from .compact import compact_index
+            stats["compaction"] = shaped(
+                {f: compact_index(d) for f, d in sorted(field_dirs.items())})
+            stats["history_expired"] = sum(
+                Manifest(d, stage).expire_history()
+                for d in field_dirs.values() for stage in ("build", "merge"))
+        if on_publish is not None:
+            on_publish(stats)
         yield stats
         cycle += 1
 
@@ -661,14 +626,9 @@ def build_index_rows(paths, out_dir: str, *, text_col: str = "text",
     # earlier delta_reindex rounds are dropped too: a full (re)build
     # subsumes them, and their tombstones with them.
     stale = set(recs) - {p["pid"] for p in parts}
-    _drop_stale_partitions(out_dir, man, stale=stale)
+    _drop_partitions(out_dir, man, stale)
     if stale:
-        for f in ("tombstones.json", "tombstones.pending.json",
-                  "delta_overlay.json"):
-            try:
-                os.unlink(os.path.join(out_dir, f))
-            except FileNotFoundError:
-                pass
+        ledger.clear_delta_state(out_dir)
     recs = {pid: r for pid, r in recs.items()
             if pid in {p["pid"] for p in parts}}
     todo = []
@@ -680,7 +640,7 @@ def build_index_rows(paths, out_dir: str, *, text_col: str = "text",
         if rec and rec.get("status") == STATUS_INDEXED:
             # input changed under a committed partition: invalidate so the
             # indexer rebuilds it (incremental re-index of changed slices)
-            os.unlink(os.path.join(man.dir, f"part-{p['pid']:05d}.json"))
+            man.forget(p["pid"])
         todo.append(p)
 
     if todo:
@@ -691,27 +651,8 @@ def build_index_rows(paths, out_dir: str, *, text_col: str = "text",
 
     merge_runs(out_dir, num_shards)
 
-    recs = Manifest(out_dir, "build").all()
-    _mark_searchable(man, recs)
-    n_docs = sum(r["docs_seen"] for r in recs.values()
-                 if r["status"] == STATUS_INDEXED)
-    dl_sum = sum(r.get("dl_sum", 0) for r in recs.values()
-                 if r["status"] == STATUS_INDEXED)
-    stats = {"n_docs": int(n_docs), "dl_sum": int(dl_sum),
-             "avgdl": (dl_sum / n_docs) if n_docs else 0.0,
-             "tokenizer": tokenizer, "positions": positions,
-             "num_partitions": len(parts),
-             "num_shards": num_shards,
-             "dead_partitions": sorted(p for p, r in recs.items()
-                                       if r["status"] == STATUS_DEAD)}
-    if change_col:
-        stats["change_col"] = change_col
-    from ..tokenize.analyzer import ANALYZER_CONFIGS
-    if tokenizer in ANALYZER_CONFIGS:
-        # schema-driven analyzer: persist the config so readers in
-        # other processes re-register it from stats alone
-        stats["analyzer_config"] = ANALYZER_CONFIGS[tokenizer]
-    atomic_write_bytes(os.path.join(out_dir, "stats.json"),
-                       json.dumps(stats).encode())
+    stats = _commit_stats(out_dir, man, tokenizer=tokenizer,
+                          positions=positions, num_partitions=len(parts),
+                          num_shards=num_shards, change_col=change_col)
     publish_epoch(out_dir)
     return stats

@@ -27,7 +27,6 @@ shards cost nothing.
 
 from __future__ import annotations
 
-import json
 import os
 from typing import Dict, List
 
@@ -36,12 +35,12 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.manifest import (Manifest, STATUS_DROPPED, STATUS_INDEXED,
-                              atomic_write_bytes, atomic_write_table)
-from .build import DELTA_PID_BASE, DOC_BITS, _ranges_gather, merge_runs
-from .codec import _cum0, decode_runs, encode_runs
+from ..state.manifest import Manifest, atomic_write_table
+from . import ledger
+from .build import (DELTA_PID_BASE, DOC_BITS, merge_runs, one_task_each,
+                    regroup_runs)
+from .build_rows import _drop_partitions
+from .codec import decode_runs
 from .epoch import publish_epoch
 
 
@@ -60,25 +59,14 @@ def _rewrite_partition(out_dir: str, pid: int, dead_ranks: np.ndarray,
     alive[dead_ranks] = False
     new_rank = np.cumsum(alive) - 1          # old rank -> new rank
     n_new = int(alive.sum())
-    out: List[Dict] = []
-
-    shard_paths = [os.path.join(out_dir, "runs", f"shard-{s:04d}",
-                                f"part-{pid:05d}.parquet")
-                   for s in range(num_shards)]
     if n_new == 0:
         # fully dead (e.g. a delta partition whose every copy was
         # superseded): drop all artifacts
-        man.log(pid, STATUS_DROPPED, message="compacted away")
-        for p in [doc_path,
-                  os.path.join(man.dir, f"part-{pid:05d}.json")] + \
-                shard_paths:
-            try:
-                os.unlink(p)
-            except FileNotFoundError:
-                pass
-        out.append({"kind": "part", "pid": pid, "docs": 0, "old_id": -1,
-                    "new_id": -1})
-        return out
+        _drop_partitions(out_dir, man, [pid])
+        return [{"kind": "part", "pid": pid, "docs": 0, "old_id": -1,
+                 "new_id": -1}]
+
+    out: List[Dict] = []
 
     old_ids = t["doc_id"].to_numpy(zero_copy_only=False)
     keep = np.flatnonzero(alive)
@@ -95,40 +83,32 @@ def _rewrite_partition(out_dir: str, pid: int, dead_ranks: np.ndarray,
                         "old_id": int(oid), "new_id": int(nid)})
 
     mask = (1 << DOC_BITS) - 1
-    for path in shard_paths:
+    for s in range(num_shards):
+        path = os.path.join(out_dir, "runs", f"shard-{s:04d}",
+                            f"part-{pid:05d}.parquet")
         if not os.path.exists(path):
             continue
         src = pq.read_table(path)
         docs, tfs, pos = decode_runs(src)
         ranks = docs & mask
         live = alive[ranks]
-        row_of = np.repeat(np.arange(src.num_rows),
-                           src["count"].to_numpy())
-        counts = np.bincount(row_of[live], minlength=src.num_rows)
-        if live.any():
-            if pos is not None:
-                # per-(term,doc) deltas restart each doc: gathering whole
-                # docs' runs keeps the encoding valid verbatim
-                pos = _ranges_gather(pos, (np.cumsum(tfs) - tfs)[live],
-                                     tfs[live])
-            rows = pa.array(counts > 0)
-            table = pa.table(
-                {"term": src["term"].filter(rows),
-                 "pid": src["pid"].filter(rows)}
-                | encode_runs(_cum0(counts[counts > 0]),
-                              (np.int64(pid) << DOC_BITS)
-                              | new_rank[ranks[live]], tfs[live], pos))
-            nbytes += atomic_write_table(path, table, row_group_size=4096)
-        else:
+        if not live.any():
             os.unlink(path)  # every term row of this pid's slice died
+            continue
+        # a term row survives when it keeps a posting; kept postings
+        # renumber to their doc's dense rank
+        row_of = np.repeat(np.arange(src.num_rows), src["count"].to_numpy())
+        rows = np.bincount(row_of[live], minlength=src.num_rows) > 0
+        key = np.where(live, (np.cumsum(rows) - 1)[row_of], -1)
+        table = pa.table(
+            {"term": src["term"].filter(pa.array(rows)),
+             "pid": src["pid"].filter(pa.array(rows))}
+            | regroup_runs((np.int64(pid) << DOC_BITS) | new_rank[ranks],
+                           tfs, pos, key, int(rows.sum())))
+        nbytes += atomic_write_table(path, table, row_group_size=4096)
 
-    rec = man.read(pid) or {}
-    man.commit(pid, status=STATUS_INDEXED,
-               input_fingerprint=rec.get("input_fingerprint", ""),
-               docs_seen=n_new, terms_emitted=rec.get("terms_emitted", 0),
-               bytes_written=nbytes, dl_sum=dl_sum,
-               output_files=rec.get("output_files", []),
-               attempt=rec.get("attempt", 1), message="compacted")
+    man.recommit(pid, docs_seen=n_new, bytes_written=nbytes, dl_sum=dl_sum,
+                 message="compacted")
     out.append({"kind": "part", "pid": pid, "docs": n_new, "old_id": -1,
                 "new_id": -1})
     return out
@@ -147,22 +127,12 @@ def compact_index(index_dir: str) -> Dict:
     """
     import glob as _glob
 
-    stats_path = os.path.join(index_dir, "stats.json")
-    with open(stats_path) as f:
-        stats = json.load(f)
+    stats = ledger.read_stats(index_dir)
     num_shards = int(stats["num_shards"])
-    tomb_path = os.path.join(index_dir, "tombstones.json")
-    pend_path = os.path.join(index_dir, "tombstones.pending.json")
-    tombs: List[int] = []
-    if os.path.exists(tomb_path):
-        with open(tomb_path) as f:
-            tombs = json.load(f).get("doc_ids", [])
-    # fold in deletions staged by a crashed delta round (durable pending
-    # set written before that round's merge) — compaction must not
-    # resurrect them
-    if os.path.exists(pend_path):
-        with open(pend_path) as f:
-            tombs = sorted(set(tombs) | set(json.load(f).get("doc_ids", [])))
+    # the pending set too: deletions a crashed delta round staged before
+    # its merge — compaction must not resurrect them
+    tombs = ledger.tombstone_ids(index_dir, (ledger.TOMBSTONES,
+                                             ledger.PENDING))
 
     man = Manifest(index_dir, "build")
     recs = man.all()
@@ -188,23 +158,19 @@ def compact_index(index_dir: str) -> Dict:
                     num_shards))
             return pd.DataFrame(rows)
 
-        book = ray.data.from_items(items, override_num_blocks=len(items)) \
-            .map_batches(compactor, batch_format="pandas", batch_size=1) \
-            .to_pandas()
+        book = one_task_each(items, compactor)
         dropped = int(((book["kind"] == "part") & (book["docs"] == 0)).sum())
         for _, r in book[book["kind"] == "remap"].iterrows():
             remap[int(r["old_id"])] = int(r["new_id"])
 
     # overlay catalog: surviving delta copies keep serving under their
     # renumbered ids
-    cat_path = os.path.join(index_dir, "delta_overlay.json")
-    if os.path.exists(cat_path) and remap:
-        with open(cat_path) as f:
-            catalog = json.load(f)
+    catalog = ledger.read_overlay(index_dir) if remap else {}
+    if catalog:
         for ent in catalog.values():
             if int(ent["id"]) in remap:
                 ent["id"] = remap[int(ent["id"])]
-        atomic_write_bytes(cat_path, json.dumps(catalog).encode())
+        ledger.write_overlay(index_dir, catalog)
 
     # force-compact shards still holding generation segments (their run
     # set may be unchanged, so fingerprint invalidation alone would skip
@@ -212,33 +178,18 @@ def compact_index(index_dir: str) -> Dict:
     merge_man = Manifest(index_dir, "merge")
     for p in _glob.glob(os.path.join(index_dir, "segments",
                                      "*-gen-*.parquet")):
-        shard = int(os.path.basename(p).split("-")[1])
-        try:
-            os.unlink(os.path.join(merge_man.dir,
-                                   f"part-{shard:05d}.json"))
-        except FileNotFoundError:
-            pass
+        merge_man.forget(int(os.path.basename(p).split("-")[1]))
 
     merge_runs(index_dir, num_shards)
 
     # deletions are physical in the re-merged segments; clear the
     # tombstone sets only now (old ids would alias renumbered ranks)
-    for p in (tomb_path, pend_path):
-        try:
-            os.unlink(p)
-        except FileNotFoundError:
-            pass
+    ledger.clear_tombstones(index_dir)
 
     recs = Manifest(index_dir, "build").all()
-    n_docs = sum(r["docs_seen"] for r in recs.values()
-                 if r["status"] == STATUS_INDEXED)
-    dl_sum = sum(r.get("dl_sum", 0) for r in recs.values()
-                 if r["status"] == STATUS_INDEXED)
-    new_stats = {k: v for k, v in stats.items() if k != "exact_stats"}
-    new_stats.update({"n_docs": int(n_docs), "dl_sum": int(dl_sum),
-                      "avgdl": (dl_sum / n_docs) if n_docs else 0.0,
-                      "num_partitions": len(recs)})
-    atomic_write_bytes(stats_path, json.dumps(new_stats).encode())
+    kept = {k: v for k, v in stats.items() if k != "exact_stats"}
+    new_stats = ledger.commit_stats(index_dir, recs,
+                                    kept | {"num_partitions": len(recs)})
     publish_epoch(index_dir)
     return {"compacted_partitions": len(by_pid) - dropped,
-            "dropped_partitions": dropped, "n_docs": int(n_docs)}
+            "dropped_partitions": dropped, "n_docs": new_stats["n_docs"]}

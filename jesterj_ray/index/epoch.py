@@ -56,6 +56,7 @@ import os
 from typing import Dict, Optional
 
 from ..state.manifest import atomic_write_bytes
+from . import ledger
 
 EPOCH_FILE = "epoch.json"
 
@@ -80,7 +81,7 @@ def _fingerprint(path: str) -> str:
 
 def _reader_visible_files(index_dir: str) -> Dict[str, str]:
     files: Dict[str, str] = {}
-    for name in ("stats.json", "tombstones.json"):
+    for name in ledger.READER_FILES:
         p = os.path.join(index_dir, name)
         if os.path.exists(p):
             files[name] = _fingerprint(p)

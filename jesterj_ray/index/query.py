@@ -29,7 +29,6 @@ only a doc-range slice; here one actor holds the full (small) test index.
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 from collections import OrderedDict
@@ -40,10 +39,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-from ..tokenize.tokenizer import TOKENIZERS
 from .bm25 import B, K1, dedup_keep_order, idf
 from .build import DOC_BITS
 from .codec import varbyte_decode
+from . import ledger
 from .epoch import (IndexChangedError, check_pinned, publish_epoch,
                     read_epoch)
 
@@ -163,19 +162,12 @@ class IndexReader:
         if self._epoch is not None:
             self._real_dir = os.path.realpath(index_dir)
             _CORES.pin(self._real_dir, self._epoch["files"])
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            self.stats = json.load(f)
-        check_pinned(index_dir, self._epoch, "stats.json")
+        self.stats = ledger.read_stats(index_dir)
+        check_pinned(index_dir, self._epoch, ledger.STATS)
         self.n_docs = self.stats["n_docs"]
         self.avgdl = self.stats["avgdl"]
         self.num_shards = self.stats["num_shards"]
-        # schema-driven analyzers persist their config in stats.json —
-        # re-register so the index opens in any process (analyzer.py)
-        if self.stats.get("analyzer_config") is not None:
-            from ..tokenize.analyzer import ensure_registered
-            ensure_registered(self.stats["tokenizer"],
-                              self.stats["analyzer_config"])
-        self.tokenizer = TOKENIZERS[self.stats["tokenizer"]]
+        self.tokenizer = ledger.tokenizer_of(self.stats)
         self._shard_cache: Dict[int, tuple] = {}
         # bounded cache of fully-decoded posting lists, each entry
         # [docs, tfs, impacts or None] (hot query terms are re-queried
@@ -221,21 +213,20 @@ class IndexReader:
         # docs are masked at query time; corpus stats stay as-built until
         # a re-build compacts them (standard segment-tombstone semantics)
         self._tombstone = np.zeros(self.n_dense, dtype=bool)
-        tomb_path = os.path.join(index_dir, "tombstones.json")
-        tomb_visible = ("tombstones.json" in self._epoch["files"]) \
-            if self._epoch is not None else os.path.exists(tomb_path)
+        tomb_visible = (ledger.TOMBSTONES in self._epoch["files"]) \
+            if self._epoch is not None else \
+            os.path.exists(os.path.join(index_dir, ledger.TOMBSTONES))
         if tomb_visible:
             try:
-                with open(tomb_path) as f:
-                    dead_ids = np.array(json.load(f).get("doc_ids", []),
-                                        dtype=np.int64)
+                dead_ids = np.array(ledger.tombstone_ids(
+                    index_dir, missing_ok=False), dtype=np.int64)
             except FileNotFoundError:
                 if self._epoch is not None:
                     raise IndexChangedError(
-                        "tombstones.json pinned by epoch was removed "
+                        f"{ledger.TOMBSTONES} pinned by epoch was removed "
                         "(concurrent compaction?) — reopen") from None
                 raise
-            check_pinned(index_dir, self._epoch, "tombstones.json")
+            check_pinned(index_dir, self._epoch, ledger.TOMBSTONES)
             if dead_ids.size:
                 self._tombstone[self.dense_of(dead_ids)] = True
         # exact-stats mode (set by delta_reindex): corpus statistics count
@@ -1107,7 +1098,6 @@ def delete_docs(index_dir: str, doc_keys) -> int:
     sender-deleteById analog).  Deletes are visible to any reader opened
     after the atomic tombstones.json rewrite; physical removal happens at
     the next full rebuild.  Returns how many keys matched."""
-    from ..state.manifest import atomic_write_bytes
     keys = set(doc_keys)
     dead: List[int] = []
     docs_dir = os.path.join(index_dir, "docs")
@@ -1119,13 +1109,7 @@ def delete_docs(index_dir: str, doc_keys) -> int:
         for did, key in zip(t["doc_id"].to_pylist(), t["doc_key"].to_pylist()):
             if key in keys:
                 dead.append(int(did))
-    tomb_path = os.path.join(index_dir, "tombstones.json")
-    existing: List[int] = []
-    if os.path.exists(tomb_path):
-        with open(tomb_path) as f:
-            existing = json.load(f).get("doc_ids", [])
-    merged = sorted(set(existing) | set(dead))
-    atomic_write_bytes(tomb_path, json.dumps({"doc_ids": merged}).encode())
+    ledger.add_tombstones(index_dir, dead)
     publish_epoch(index_dir)
     return len(dead)
 

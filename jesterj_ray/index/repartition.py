@@ -22,7 +22,6 @@ node, each node opens its slice dir, a fan-out service merges k-lists
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 from typing import Dict, List
@@ -32,12 +31,10 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.parquet as pq
 
-import ray.data
-
-from ..state.manifest import atomic_write_bytes
-from .build import (DOC_BITS, SEG_ROW_GROUP_ROWS, _ranges_gather,
-                    _segment_schema)
-from .codec import _cum0, decode_runs, encode_runs, range_cuts
+from . import ledger
+from .build import (DOC_BITS, SEG_ROW_GROUP_ROWS, _segment_schema,
+                    one_task_each, regroup_runs)
+from .codec import _cum0, decode_runs, range_cuts
 from .epoch import _reader_visible_files, publish_epoch
 
 
@@ -137,23 +134,14 @@ def _split_shard(index_dir: str, out_root: str, shard: int,
     for batch in _decode_slabs(pf):
         docs, tfs, pos = decode_runs(batch)
         R = batch.num_rows
-        # group postings slice-major, then by source row; the stable sort
-        # keeps every (slice, row) run's docs ascending
+        # group postings slice-major, then by source row.  A slice
+        # holding no docs of a source row still gets a metadata-only row
+        # (count 0): the reader reconstructs a term's GLOBAL df by summing
+        # its chunk rows' df, so a missing row would under-count df for
+        # multi-chunk hot terms and mis-weight BM25
         key = lookup(docs >> DOC_BITS) * R + np.repeat(
             np.arange(R), batch.column("count").to_numpy())
-        order = np.argsort(key, kind="stable")
-        if pos is not None:
-            # gather each kept doc's contiguous delta run (deltas restart
-            # per doc, so runs concatenate verbatim)
-            pos = _ranges_gather(pos, (np.cumsum(tfs) - tfs)[order],
-                                 tfs[order])
-        # a slice holding no docs of a source row still gets a
-        # metadata-only row (count 0): the reader reconstructs a term's
-        # GLOBAL df by summing its chunk rows' df, so a missing row would
-        # under-count df for multi-chunk hot terms and mis-weight BM25
-        enc = encode_runs(
-            _cum0(np.bincount(key, minlength=n_slices * R)),
-            docs[order], tfs[order], pos)
+        enc = regroup_runs(docs, tfs, pos, key, n_slices * R)
         for s in range(n_slices):
             pending[s] = pa.concat_tables([pending[s], pa.table(
                 {nm: batch.column(nm) if nm in ("term", "chunk", "df", "cf")
@@ -176,8 +164,7 @@ def repartition_for_serving(index_dir: str, out_root: str, *,
     under ``out_root/slice-XXX``; returns the slice dirs.  Each slice is
     a fully-featured index over its doc range whose df/cf/stats are
     GLOBAL, so per-slice scores equal the global reader's exactly."""
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        stats = json.load(f)
+    stats = ledger.read_stats(index_dir)
     if stats.get("exact_stats"):
         # an exact-stats (delta-built) index computes alive-only n/avgdl/df
         # over the WHOLE corpus at query time; a slice reader would compute
@@ -203,33 +190,26 @@ def repartition_for_serving(index_dir: str, out_root: str, *,
     docs_dir = os.path.join(index_dir, "docs")
     assign = _plan_slices(docs_dir, n_slices)
     slice_tombs: List[List[int]] = [[] for _ in range(n_slices)]
-    tomb_path = os.path.join(index_dir, "tombstones.json")
-    if os.path.exists(tomb_path):
-        with open(tomb_path) as f:
-            for did in json.load(f).get("doc_ids", []):
-                pid = int(did) >> DOC_BITS
-                if pid not in assign:
-                    # stale tombstone of a dropped/empty partition: no
-                    # postings reference it, nothing to mask (mirrors
-                    # compact_index's stale-tombstone handling; ADVICE r03)
-                    continue
-                slice_tombs[assign[pid]].append(did)
+    for did in ledger.tombstone_ids(index_dir):
+        pid = int(did) >> DOC_BITS
+        if pid not in assign:
+            # stale tombstone of a dropped/empty partition: no postings
+            # reference it, nothing to mask (mirrors compact_index's
+            # stale-tombstone handling; ADVICE r03)
+            continue
+        slice_tombs[assign[pid]].append(did)
     slices = [os.path.join(out_root, f"slice-{s:03d}")
               for s in range(n_slices)]
     # reader-visible files this split writes, per slice: everything else
     # in the slice dir is a leftover of an earlier split
-    written = [{"stats.json"} for _ in range(n_slices)]
+    written = [{ledger.STATS} for _ in range(n_slices)]
     for s, sdir in enumerate(slices):
         os.makedirs(os.path.join(sdir, "docs"), exist_ok=True)
-        atomic_write_bytes(
-            os.path.join(sdir, "stats.json"),
-            json.dumps(stats | {"slice_id": s,
-                                "n_slices": n_slices}).encode())
+        ledger.write_stats(sdir, stats | {"slice_id": s,
+                                          "n_slices": n_slices})
         if slice_tombs[s]:
-            atomic_write_bytes(
-                os.path.join(sdir, "tombstones.json"),
-                json.dumps({"doc_ids": sorted(slice_tombs[s])}).encode())
-            written[s].add("tombstones.json")
+            ledger.write_tombstones(sdir, slice_tombs[s])
+            written[s].add(ledger.TOMBSTONES)
     for name in sorted(os.listdir(docs_dir)):
         if not name.endswith(".parquet"):
             continue
@@ -246,18 +226,13 @@ def repartition_for_serving(index_dir: str, out_root: str, *,
                 index_dir, "segments", f"shard-{sh:04d}.parquet"))}
 
     # segment split: one Ray task per shard (reads only its shard file)
-    tasks = ray.data.from_items(
-        [{"shard": sh} for sh in range(num_shards)],
-        override_num_blocks=num_shards)
-
     def split(batch: pd.DataFrame) -> pd.DataFrame:
         pa.set_cpu_count(1)
         return pd.DataFrame([
             _split_shard(index_dir, out_root, int(sh), n_slices, assign)
             for sh in batch["shard"]])
 
-    tasks.map_batches(split, batch_format="pandas",
-                      batch_size=1).materialize()
+    one_task_each([{"shard": sh} for sh in range(num_shards)], split)
     for sdir, keep in zip(slices, written):
         # publish_epoch lists whatever is on disk: unlink the previous
         # split's tombstones, moved doc tables and surplus shards first

@@ -27,6 +27,7 @@ from typing import Iterable, List, Tuple
 
 import ray
 
+from . import ledger
 from .epoch import IndexChangedError
 from .query import IndexReader
 
@@ -94,6 +95,17 @@ class _ReopenMixin:
         ray.get([a.reopen.remote() for a in self.actors])
         self._stale = False
 
+    def _start(self, actor_cls, slice_dirs, reopen_on_change: bool) -> None:
+        if not slice_dirs:
+            raise ValueError(f"{type(self).__name__} needs slice dirs")
+        self.actors = [actor_cls.remote(d) for d in slice_dirs]
+        self._reopen = reopen_on_change
+
+    def shutdown(self):
+        for a in self.actors:
+            ray.kill(a)
+        self.actors = []
+
     def _with_reopen(self, fn):
         for attempt in range(self._MAX_REOPENS + 1):
             try:
@@ -146,10 +158,7 @@ class ShardedQueryService(_ReopenMixin):
 
     def __init__(self, slice_dirs: List[str],
                  reopen_on_change: bool = False):
-        if not slice_dirs:
-            raise ValueError("ShardedQueryService needs slice dirs")
-        self.actors = [SliceQueryActor.remote(d) for d in slice_dirs]
-        self._reopen = reopen_on_change
+        self._start(SliceQueryActor, slice_dirs, reopen_on_change)
 
     def topk(self, query: str, k: int = 10) -> List[Tuple[int, float]]:
         return _merge_topk(self._with_reopen(lambda: ray.get(
@@ -172,10 +181,6 @@ class ShardedQueryService(_ReopenMixin):
         return _merge_topk(self._with_reopen(lambda: ray.get(
             [a.phrase_topk.remote(query, k) for a in self.actors])), k)
 
-    def shutdown(self):
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []
 
 
 @ray.remote
@@ -219,24 +224,10 @@ class BM25FShardedService(_ReopenMixin):
         from ``repartition_bm25f_for_serving`` — the deployment shape
         where each node holds only its slice's files.
         ``reopen_on_change``: see :class:`_ReopenMixin`."""
-        if not field_slice_dirs:
-            raise ValueError("BM25FShardedService needs field slice dirs")
-        self.actors = [BM25FSliceDirActor.remote(d) for d in field_slice_dirs]
-        self._reopen = reopen_on_change
-        # tokenizer for the df round: all fields share one (stats.json);
-        # schema-driven analyzers re-register from the persisted config
-        # (same open-in-any-process contract as IndexReader)
-        import json
-        import os
-        any_dir = next(iter(field_slice_dirs[0].values()))
-        with open(os.path.join(any_dir, "stats.json")) as f:
-            stats = json.load(f)
-        if stats.get("analyzer_config") is not None:
-            from ..tokenize.analyzer import ensure_registered
-            ensure_registered(stats["tokenizer"],
-                              stats["analyzer_config"])
-        from ..tokenize.tokenizer import TOKENIZERS
-        self.tokenizer = TOKENIZERS[stats["tokenizer"]]
+        self._start(BM25FSliceDirActor, field_slice_dirs, reopen_on_change)
+        # tokenizer for the df round: all fields share one
+        self.tokenizer = ledger.tokenizer_of(ledger.read_stats(
+            next(iter(field_slice_dirs[0].values()))))
 
     def _global_dfs(self, terms: List[str]):
         partials = ray.get([a.df_counts.remote(terms)
@@ -256,7 +247,3 @@ class BM25FShardedService(_ReopenMixin):
 
         return _merge_topk(self._with_reopen(both_rounds), k)
 
-    def shutdown(self):
-        for a in self.actors:
-            ray.kill(a)
-        self.actors = []

@@ -36,6 +36,7 @@ import ray.data as rd
 from ray.data.aggregate import Sum
 
 from ..index.build import DOC_BITS
+from ..index.ledger import has_stats
 from ..index.query import IndexReader
 from .flagship import (_cache_dir, _keep_matched_fn, _match_doc_ids,
                        documents_index)
@@ -355,7 +356,7 @@ def realtime_get(sf_dir: str, *, updated_id: int = 3,
     base_kwargs = dict(text_col="text", key_col="doc_id",
                        tokenizer="simple", docs_per_partition=2048,
                        num_shards=4)
-    if not os.path.exists(os.path.join(idx_dir, "stats.json")):
+    if not has_stats(idx_dir):
         shutil.rmtree(idx_dir, ignore_errors=True)
         build_index_rows(src, idx_dir, **base_kwargs)
 

@@ -31,6 +31,7 @@ import ray
 import ray.data as rd
 
 from ..index.build_rows import build_index_rows
+from ..index.ledger import has_stats
 from ..index.query import IndexReader, QueryActor
 
 # fixed query set over the documents table's vocabulary (BM25-checkable
@@ -63,10 +64,9 @@ def documents_index(sf_dir: str, *, rebuild: bool = False) -> str:
     12-digit zero-padded doc_id, and docIDs ascend with doc_id (the
     oracles' tie order).  Returns the index directory."""
     out = _cache_dir(sf_dir, "docidx4")
-    marker = os.path.join(out, "stats.json")
     if rebuild and os.path.isdir(out):
         shutil.rmtree(out)
-    if not os.path.exists(marker):
+    if not has_stats(out):
         build_index_rows(os.path.join(sf_dir, "documents.parquet"), out,
                          text_col="text", key_col="doc_id",
                          tokenizer="simple", num_shards=4)
@@ -234,7 +234,7 @@ def bm25_function_boost_documents(sf_dir: str,
 def documents_index_pos(sf_dir: str) -> str:
     """Positional variant of the documents index (phrase queries)."""
     out = _cache_dir(sf_dir, "docidx3-pos")
-    if not os.path.exists(os.path.join(out, "stats.json")):
+    if not has_stats(out):
         from ..index.build_rows import build_index_rows
         build_index_rows(os.path.join(sf_dir, "documents.parquet"), out,
                          text_col="text", key_col="doc_id",
@@ -676,12 +676,11 @@ def documents_bm25f_indexes(sf_dir: str) -> dict:
     family aligned through per-doc deltas (r03 VERDICT #5)."""
     dirs = {"title": _cache_dir(sf_dir, "docidxf3-title"),
             "body": _cache_dir(sf_dir, "docidxf3-body")}
-    if all(os.path.exists(os.path.join(d, "stats.json"))
-           for d in dirs.values()):
+    if all(has_stats(d) for d in dirs.values()):
         return dirs
     paths = bm25f_split_parquet(sf_dir)
     for field, out in dirs.items():
-        if os.path.exists(os.path.join(out, "stats.json")):
+        if has_stats(out):
             continue
         if os.path.isdir(out):
             shutil.rmtree(out)
@@ -885,7 +884,7 @@ def corpus_index_pipeline(n_rows: int = 500, *, out_dir: Optional[str] = None,
     from ..sources.corpus import REFERENCE_QUERIES, generate_corpus
     from ..stages.dedup import exact_dedup_parquet
     out = out_dir or f"/tmp/jjray_cache/corpus-v4-{n_rows}"
-    if not os.path.exists(os.path.join(out, "stats.json")):
+    if not has_stats(out):
         t = generate_corpus(n_rows, seed=42)
         t = t.append_column("doc_key", pc.binary_join_element_wise(
             t["repo"], t["path"], t["commit"], ":"))
@@ -1153,7 +1152,7 @@ def documents_children_index(sf_dir: str) -> str:
     no children, so the child corpus' N is exactly the oracle's count
     of (doc_id, pidx) groups."""
     out = _cache_dir(sf_dir, "docidx-child2")
-    if not os.path.exists(os.path.join(out, "stats.json")):
+    if not has_stats(out):
         paths = _derive_documents(sf_dir, "docidx-child2-split",
                                   _make_children)
         build_index_rows(paths, out, text_col="text", key_col="doc_key",

@@ -30,6 +30,8 @@ import pyarrow as pa
 import ray.data as rd
 from ray.data.aggregate import Sum
 
+from .. import pool_size
+
 # pre-tokenization: lowercase [a-z0-9]+ words, the repo's frozen
 # simple_tokenize classes (keeps the histogram oracle-friendly)
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -222,7 +224,7 @@ def bpe_encode_documents(sf_dir: str, num_merges: int = 16
                          override_num_blocks=8)
     out = ds.map_batches(BpeEncoder, batch_format="pyarrow",
                          fn_constructor_args=(merges,),
-                         concurrency=2) \
+                         concurrency=pool_size(2)) \
         .select_columns(["doc_id", "n_bpe_tokens"]).to_pandas()
     return out.sort_values("doc_id").reset_index(drop=True) \
         .astype({"doc_id": np.int64, "n_bpe_tokens": np.int64})

@@ -30,6 +30,7 @@ import pyarrow as pa
 import ray
 
 from .html import extract_html
+from .. import pool_size
 
 _ZIP_MAGIC = b"PK\x03\x04"
 
@@ -128,6 +129,6 @@ def container_explode_pipeline(sf_dir: str, *, num_blocks: int = 16):
                                override_num_blocks=num_blocks)
     out = ds.map_batches(_synth_container, batch_format="pyarrow") \
         .map_batches(ContainerExploder, batch_format="pyarrow",
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "child_path", "text_extracted"])
     return out.sort(["doc_id", "child_path"])

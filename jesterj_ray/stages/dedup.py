@@ -35,6 +35,8 @@ import pyarrow as pa
 
 import ray.data
 
+from .. import pool_size
+
 NUM_HASHES = 128
 NUM_BANDS = 16          # 16 bands x 8 rows: ~0.5 detect prob at J=0.75
 ROWS_PER_BAND = NUM_HASHES // NUM_BANDS
@@ -314,12 +316,10 @@ def minhash_lsh_pairs(ds: "ray.data.Dataset", *, text_field: str, id_field: str,
         # cluster, floor of 2 so tiny runs don't serialize
         join_partitions = max(2, cpus // 8)
 
-    # the MinHasher pool leaves one CPU free for the read tasks that feed
-    # it: a pool holding every CPU starves them and the stage never ends
     sigs = ds.map_batches(MinHasher, fn_constructor_kwargs={
         "text_field": text_field, "id_field": id_field, "k": k},
         batch_format="pyarrow",
-        concurrency=min(concurrency, max(1, cpus - 1))).materialize()
+        concurrency=pool_size(concurrency)).materialize()
 
     def explode_bands(batch: pa.Table) -> pa.Table:
         n = batch.num_rows

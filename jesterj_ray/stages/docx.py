@@ -35,6 +35,8 @@ import pyarrow as pa
 
 import ray
 
+from .. import pool_size
+
 _W = "{http://schemas.openxmlformats.org/wordprocessingml/2006/main}"
 _DC = "{http://purl.org/dc/elements/1.1/}"
 
@@ -174,7 +176,7 @@ def docx_extract_pipeline(sf_dir: str, *, num_blocks: int = 16):
                                override_num_blocks=num_blocks)
     out = ds.map_batches(_synth_docx, batch_format="pyarrow") \
         .map_batches(DocxExtractor, batch_format="pyarrow",
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "text_extracted", "dc_title",
                          "dc_creator"])
     return out.sort("doc_id")

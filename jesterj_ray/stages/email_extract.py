@@ -26,6 +26,8 @@ import pyarrow as pa
 
 import ray
 
+from .. import pool_size
+
 
 def extract_email(raw: bytes) -> Tuple[str, dict]:
     """(body_text, headers) from RFC-822 bytes; body = the first
@@ -90,7 +92,7 @@ def email_extract_pipeline(sf_dir: str, *, num_blocks: int = 16):
                                override_num_blocks=num_blocks)
     out = ds.map_batches(_synth_email, batch_format="pyarrow") \
         .map_batches(EmailExtractor, batch_format="pyarrow",
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "subject", "from_addr", "to_addr",
                          "body"])
     return out.sort("doc_id")

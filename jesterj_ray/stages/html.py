@@ -36,6 +36,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import pyarrow as pa
 
+from .. import pool_size
+
 _SKIP_TEXT = frozenset({"script", "style", "head"})
 
 
@@ -203,6 +205,6 @@ def html_extract_fields_pipeline(sf_dir: str):
         fn_constructor_kwargs={
             "src_col": "raw_html",
             "meta_fields": ["dc:creator", "Content-Type"]},
-        batch_format="pyarrow", concurrency=2).to_pandas()
+        batch_format="pyarrow", concurrency=pool_size(2)).to_pandas()
     out = out.rename(columns={"Content_Type": "content_type"})
     return out.sort_values("doc_id").reset_index(drop=True)

@@ -46,6 +46,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from .. import pool_size
+
 ALPHA = 0.5  # frozen smoothing constant (mirrored in the SQL oracle)
 
 _SEP = "\x00"
@@ -224,11 +226,7 @@ def lm_perplexity_pipeline(sf_dir: str, *, concurrency: int = 2,
 
     Returns (doc_id, n_tokens, avg_logprob, ppl) sorted by doc_id;
     empty-token docs are dropped (no defined perplexity) — the oracle's
-    ``HAVING count(*) > 0``.
-
-    ``concurrency`` must leave CPUs free for the read + sort stages: an
-    actor pool equal to the whole cluster starves its own upstream
-    (observed as a deadlock at concurrency=4 on a 4-CPU test session).
+    ``HAVING count(*) > 0``.  The scorer pool is capped by ``pool_size``.
     """
     # override_num_blocks: tiny test parquet would otherwise fan into
     # O(100) sub-MB blocks and scheduling would dominate (CLAUDE.md)
@@ -240,7 +238,7 @@ def lm_perplexity_pipeline(sf_dir: str, *, concurrency: int = 2,
     scored = ds.map_batches(
         PerplexityScorer, batch_format="pyarrow",
         fn_constructor_kwargs={"model_ref": ref},
-        concurrency=concurrency)
+        concurrency=pool_size(concurrency))
     return scored.sort("doc_id")
 
 
@@ -273,7 +271,7 @@ def ccnet_buckets_pipeline(sf_dir: str, *, concurrency: int = 2,
         PerplexityScorer, batch_format="pyarrow",
         fn_constructor_kwargs={"model_ref": ref,
                                "keep_cols": ("lang",)},
-        concurrency=concurrency).materialize()
+        concurrency=pool_size(concurrency)).materialize()
     # materialize: cuts AND label both consume `scored` — without it
     # Ray re-executes the whole scoring pass twice (r05 self-review #6)
     cuts = grouped_quantiles(scored.select_columns(["lang", "ppl"]),

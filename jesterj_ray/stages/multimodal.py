@@ -25,6 +25,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from .. import pool_size
+
 # schema for an incoming multimodal table
 MEDIA_SCHEMA = pa.schema([
     ("media_id", pa.int64()),
@@ -222,7 +224,7 @@ def _decode_stats_pipeline(sf_dir: str, encode_name: str, coefs, n_docs: int,
     feats = media.map_batches(
         ImageDecoder, fn_constructor_kwargs={"out_size": out_size,
                                              "fake": False},
-        batch_format="pyarrow", concurrency=2)
+        batch_format="pyarrow", concurrency=pool_size(2))
 
     def stats(t: pa.Table) -> pa.Table:
         sums = []
@@ -311,7 +313,7 @@ def wav_frame_energy_pipeline(sf_dir: str, n_docs: int = 64,
     out = media.map_batches(
         AudioFrameSampler,
         fn_constructor_kwargs={"fake": False, "frame_len": frame_len},
-        batch_format="pyarrow", concurrency=2).to_pandas()
+        batch_format="pyarrow", concurrency=pool_size(2)).to_pandas()
     out = out.rename(columns={"media_id": "doc_id"})
     return out[["doc_id", "frame_idx", "n_samples", "energy"]] \
         .sort_values(["doc_id", "frame_idx"]).reset_index(drop=True)
@@ -390,7 +392,7 @@ def avi_frame_sample_pipeline(sf_dir: str, n_docs: int = 64,
     out = media.map_batches(
         VideoFrameSampler,
         fn_constructor_kwargs={"fake": False, "every_k": every_k},
-        batch_format="pyarrow", concurrency=2).to_pandas()
+        batch_format="pyarrow", concurrency=pool_size(2)).to_pandas()
     out = out.rename(columns={"media_id": "doc_id"})
     return out[["doc_id", "frame_idx", "px_sum"]] \
         .sort_values(["doc_id", "frame_idx"]).reset_index(drop=True)
@@ -478,7 +480,7 @@ def wav_spectral_features_pipeline(sf_dir: str, n_docs: int = 64,
     out = media.map_batches(
         AudioSpectralFeatures,
         fn_constructor_kwargs={"frame_len": frame_len},
-        batch_format="pyarrow", concurrency=2).to_pandas()
+        batch_format="pyarrow", concurrency=pool_size(2)).to_pandas()
     out = out.rename(columns={"media_id": "doc_id"})
     return out[["doc_id", "frame_idx", "dominant_bin", "centroid"]] \
         .sort_values(["doc_id", "frame_idx"]).reset_index(drop=True)
@@ -563,7 +565,7 @@ def image_phash_near_dup(sf_dir: str, n_docs: int = 64,
 
     hashes = ds.map_batches(synth, batch_format="pyarrow") \
         .map_batches(ImagePerceptualHash, batch_format="pyarrow",
-                     concurrency=2)
+                     concurrency=pool_size(2))
 
     def band_rows(t: pa.Table) -> pa.Table:
         hv = t["ahash"].to_numpy(zero_copy_only=False) \

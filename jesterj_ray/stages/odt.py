@@ -30,6 +30,8 @@ import pyarrow as pa
 
 import ray
 
+from .. import pool_size
+
 _T = "{urn:oasis:names:tc:opendocument:xmlns:text:1.0}"
 _OFFICE_NS = "urn:oasis:names:tc:opendocument:xmlns:office:1.0"
 _MIME = "application/vnd.oasis.opendocument.text"
@@ -159,6 +161,6 @@ def odt_extract_pipeline(sf_dir: str, *, num_blocks: int = 16):
                                override_num_blocks=num_blocks)
     out = ds.map_batches(_synth_odt, batch_format="pyarrow") \
         .map_batches(OdtExtractor, batch_format="pyarrow",
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "text_extracted", "n_paras"])
     return out.sort("doc_id")

@@ -40,6 +40,8 @@ import pyarrow as pa
 
 import ray
 
+from .. import pool_size
+
 _OBJ_RE = re.compile(rb"(\d+)\s+0\s+obj(.*?)endobj", re.S)
 _STREAM_RE = re.compile(rb"stream\r?\n(.*?)endstream", re.S)
 _REF_RE_T = rb"/%s\s+(\d+)\s+0\s+R"
@@ -318,6 +320,6 @@ def pdf_extract_pipeline(sf_dir: str, *, num_blocks: int = 16):
                                override_num_blocks=num_blocks)
     out = ds.map_batches(_synth_pdf, batch_format="pyarrow") \
         .map_batches(PdfExtractor, batch_format="pyarrow",
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "text_extracted", "pdf_title"])
     return out.sort("doc_id")

@@ -28,6 +28,8 @@ import pyarrow as pa
 
 import ray
 
+from .. import pool_size
+
 _A = "{http://schemas.openxmlformats.org/drawingml/2006/main}"
 
 _CONTENT_TYPES = (
@@ -135,6 +137,6 @@ def pptx_extract_pipeline(sf_dir: str, *, num_blocks: int = 16):
                                override_num_blocks=num_blocks)
     out = ds.map_batches(_synth_pptx, batch_format="pyarrow") \
         .map_batches(PptxExtractor, batch_format="pyarrow",
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "text_extracted", "n_slides"])
     return out.sort("doc_id")

@@ -22,6 +22,8 @@ import pyarrow.compute as pc
 
 import ray
 
+from .. import pool_size
+
 # Arrow extract_regex needs a NAMED group; the oracle's regexp_extract
 # uses the equivalent numbered form '^https?://([^/]+)'
 DOMAIN_RE = r"^https?://(?P<domain>[^/]+)"
@@ -80,6 +82,6 @@ def url_domain_filter_pipeline(sf_dir: str,
     out = ds.map_batches(_synth_url, batch_format="pyarrow") \
         .map_batches(DomainFilter, batch_format="pyarrow",
                      fn_constructor_kwargs={"blocklist_ref": ref},
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "domain", "kept"])
     return out.sort("doc_id")

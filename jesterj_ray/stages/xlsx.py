@@ -35,6 +35,8 @@ import pyarrow as pa
 
 import ray
 
+from .. import pool_size
+
 _S = "{http://schemas.openxmlformats.org/spreadsheetml/2006/main}"
 
 _CONTENT_TYPES = (
@@ -187,7 +189,7 @@ def xlsx_extract_pipeline(sf_dir: str, *, num_blocks: int = 16):
                                override_num_blocks=num_blocks)
     out = ds.map_batches(_synth_xlsx, batch_format="pyarrow") \
         .map_batches(XlsxExtractor, batch_format="pyarrow",
-                     concurrency=2) \
+                     concurrency=pool_size(2)) \
         .select_columns(["doc_id", "sheet_name", "text_extracted",
                          "n_cells"])
     return out.sort("doc_id")

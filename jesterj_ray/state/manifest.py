@@ -309,6 +309,23 @@ class Manifest:
         atomic_write_bytes(self._path(partition_id), json.dumps(rec).encode())
         self.log(partition_id, status, attempt=attempt, message=message)
 
+    def recommit(self, partition_id: int, **changes) -> None:
+        """Commit the partition INDEXED again: its prior row's fields,
+        with ``changes`` applied."""
+        rec = self.read(partition_id) or {}
+        self.commit(partition_id, **{
+            k: rec[k] for k in ("input_fingerprint", "docs_seen",
+                                "terms_emitted", "bytes_written", "dl_sum",
+                                "output_files", "attempt") if k in rec}
+            | changes)
+
+    def forget(self, partition_id: int) -> None:
+        """Delete the partition's row (its history stays)."""
+        try:
+            os.unlink(self._path(partition_id))
+        except FileNotFoundError:
+            pass
+
     def read(self, partition_id: int) -> Optional[Dict]:
         try:
             with open(self._path(partition_id)) as f:

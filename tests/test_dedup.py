@@ -206,12 +206,29 @@ def test_filter_seen_ds():
     assert set(out.columns) == {"k", "v"}
 
 
-def test_minhash_pool_leaves_a_cpu_for_its_reads(sf_dir):
-    """A MinHasher pool as large as the cluster holds every CPU, so the
+POOL_STAGES = {
+    "minhash": """
+from jesterj_ray.stages.dedup import minhash_lsh_pairs
+ds = rd.read_parquet(os.path.join(SF, "documents.parquet"),
+                     columns=["doc_id", "text"], override_num_blocks=2)
+n = minhash_lsh_pairs(ds, text_field="text", id_field="doc_id",
+                      threshold=0.5, concurrency=2).count()
+""",
+    "lm": """
+from jesterj_ray.stages.lm import lm_perplexity_pipeline
+n = lm_perplexity_pipeline(SF, concurrency=2).count()
+""",
+}
+
+
+@pytest.mark.parametrize("stage", sorted(POOL_STAGES))
+def test_minhash_pool_leaves_a_cpu_for_its_reads(sf_dir, stage):
+    """An actor pool as large as the cluster holds every CPU, so the
     parquet read tasks that feed it never run and the stage never ends.
-    Asking for ``concurrency`` = every CPU must still finish: run it in
-    its own 2-CPU Ray session under a hard timeout (the session's whole
-    process group is killed if it hangs)."""
+    Asking for ``concurrency`` = every CPU must still finish (the
+    MinHasher pool and the LM scorer pool, both through ``pool_size``):
+    run it in its own 2-CPU Ray session under a hard timeout (the
+    session's whole process group is killed if it hangs)."""
     import os
     import signal
     import subprocess
@@ -222,12 +239,9 @@ ray.init(address="local", num_cpus=2, include_dashboard=False,
          logging_level="ERROR")
 from ray.data import DataContext
 DataContext.get_current().enable_progress_bars = False
-from jesterj_ray.stages.dedup import minhash_lsh_pairs
-ds = rd.read_parquet(os.path.join({sf_dir!r}, "documents.parquet"),
-                     columns=["doc_id", "text"], override_num_blocks=2)
-n = minhash_lsh_pairs(ds, text_field="text", id_field="doc_id",
-                      threshold=0.5, concurrency=2).count()
-print("PAIRS", n)
+SF = {sf_dir!r}
+{POOL_STAGES[stage]}
+print("ROWS", n)
 ray.shutdown()
 """
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -242,4 +256,4 @@ ray.shutdown()
         proc.communicate()
         raise
     assert proc.returncode == 0, err[-2000:]
-    assert "PAIRS" in out
+    assert "ROWS" in out
