@@ -28,5 +28,5 @@ def pool_size(want: int) -> int:
 
     import ray
     cpus = ray.cluster_resources().get("CPU", 1) if ray.is_initialized() \
-        else os.cpu_count()
+        else os.cpu_count() or 1
     return min(want, max(1, int(cpus) - 1))

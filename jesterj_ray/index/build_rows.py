@@ -83,7 +83,7 @@ def _part_fingerprint(part: Dict) -> str:
 from .build import DELTA_PID_BASE  # noqa: E402
 
 
-def _drop_partitions(out_dir: str, man: Manifest, pids) -> None:
+def _drop_partitions(out_dir: str, man: Manifest, pids, message="") -> None:
     """Delete every artifact of partitions no longer in the current plan
     (or compacted away): manifest row, doc table, quarantine table, and
     the pid's slice of every run shard."""
@@ -91,7 +91,7 @@ def _drop_partitions(out_dir: str, man: Manifest, pids) -> None:
     shard_dirs = [os.path.join(runs_dir, d) for d in os.listdir(runs_dir)] \
         if os.path.isdir(runs_dir) else []
     for pid in sorted(pids):
-        man.log(pid, STATUS_DROPPED)  # history keeps the terminal record
+        man.log(pid, STATUS_DROPPED, message=message)  # terminal record
         man.forget(pid)
         for path in ([os.path.join(out_dir, "docs", f"part-{pid:05d}.parquet"),
                       os.path.join(out_dir, "quarantine",

@@ -62,7 +62,7 @@ def _rewrite_partition(out_dir: str, pid: int, dead_ranks: np.ndarray,
     if n_new == 0:
         # fully dead (e.g. a delta partition whose every copy was
         # superseded): drop all artifacts
-        _drop_partitions(out_dir, man, [pid])
+        _drop_partitions(out_dir, man, [pid], message="compacted away")
         return [{"kind": "part", "pid": pid, "docs": 0, "old_id": -1,
                  "new_id": -1}]
 

@@ -192,12 +192,10 @@ def repartition_for_serving(index_dir: str, out_root: str, *,
     slice_tombs: List[List[int]] = [[] for _ in range(n_slices)]
     for did in ledger.tombstone_ids(index_dir):
         pid = int(did) >> DOC_BITS
-        if pid not in assign:
-            # stale tombstone of a dropped/empty partition: no postings
-            # reference it, nothing to mask (mirrors compact_index's
-            # stale-tombstone handling; ADVICE r03)
-            continue
-        slice_tombs[assign[pid]].append(did)
+        # a stale tombstone of a dropped/empty partition has no postings
+        # to mask (as in compact_index; ADVICE r03)
+        if pid in assign:
+            slice_tombs[assign[pid]].append(did)
     slices = [os.path.join(out_root, f"slice-{s:03d}")
               for s in range(n_slices)]
     # reader-visible files this split writes, per slice: everything else

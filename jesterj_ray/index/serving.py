@@ -182,7 +182,6 @@ class ShardedQueryService(_ReopenMixin):
             [a.phrase_topk.remote(query, k) for a in self.actors])), k)
 
 
-
 @ray.remote
 class BM25FSliceDirActor:
     """Actor over one repartitioned slice of a BM25F field family
@@ -246,4 +245,3 @@ class BM25FShardedService(_ReopenMixin):
                             for a in self.actors])
 
         return _merge_topk(self._with_reopen(both_rounds), k)
-

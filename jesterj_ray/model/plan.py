@@ -43,6 +43,8 @@ import pyarrow as pa
 
 import ray.data
 
+from .. import pool_size
+
 
 class CyclicPlanError(ValueError):
     """Analog of the reference's CyclicGraphException (PlanImpl.java:357-359)."""
@@ -76,7 +78,8 @@ class Step:
         if self.num_cpus is not None:
             kwargs["num_cpus"] = self.num_cpus
         if isinstance(self.processor, type):
-            kwargs["concurrency"] = self.concurrency or 2
+            c = self.concurrency or 2  # a (min, max) pool stays as given
+            kwargs["concurrency"] = pool_size(c) if type(c) is int else c
             if self.fn_constructor_kwargs:
                 kwargs["fn_constructor_kwargs"] = self.fn_constructor_kwargs
             if self.fn_kwargs:

@@ -25,7 +25,6 @@ import json
 from typing import Any, Callable, Dict, Optional
 
 from .plan import Plan, PlanBuilder, Step
-from .. import pool_size
 
 
 def _registry() -> Dict[str, Any]:
@@ -86,7 +85,7 @@ def load_plan(spec: dict) -> Plan:
         if isinstance(proc, type):
             step = Step(s["name"], proc,
                         fn_constructor_kwargs=kwargs,
-                        concurrency=pool_size(s.get("concurrency", 2)),
+                        concurrency=s.get("concurrency", 2),
                         batch_size=s.get("batch_size"))
         else:
             step = Step(s["name"], proc, fn_kwargs=kwargs,

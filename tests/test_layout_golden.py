@@ -160,7 +160,6 @@ def test_ledger_golden_over_writer_cycle(tmp_path, positions):
     assert got == GOLDEN_LEDGER[positions]
 
 
-
 def test_only_the_ledger_names_the_bookkeeping_files():
     """No string constant outside ``index/ledger.py`` names one of the
     four bookkeeping files (docstrings aside): every reader and writer
