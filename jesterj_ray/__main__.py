@@ -179,9 +179,22 @@ def cmd_status(args) -> int:
         by_status: dict = {}
         for r in recs.values():
             by_status[r["status"]] = by_status.get(r["status"], 0) + 1
+        # the shards' last merges: how many were full re-merges, appends
+        # of a generation or folds, and the most segments (base +
+        # generations) one shard holds
+        merges = Manifest(args.out, "merge").all().values()
+        by_mode: dict = {}
+        for r in merges:
+            mode = r.get("mode", "unrecorded")
+            by_mode[mode] = by_mode.get(mode, 0) + 1
         print(json.dumps({"partitions": len(recs), "by_status": by_status,
                           "docs": sum(r.get("docs_seen", 0)
-                                      for r in recs.values())}))
+                                      for r in recs.values()),
+                          "merge": {"shards": len(merges),
+                                    "by_mode": by_mode,
+                                    "max_generations": max(
+                                        (r.get("generations", 1)
+                                         for r in merges), default=0)}}))
     return 0
 
 

@@ -20,10 +20,15 @@ run table in one vectorized pass: factorize + ``np.unique`` count the
 row layout, shared with compaction and serving repartition — encodes
 every term at once.  The merge (``merge_runs``) is planned per term
 shard in the driver from the merge manifest and ``os.stat`` alone:
-up-to-date shards are skipped, a one-delta-run append is written in the
-driver, and only the other stale shards go to a Ray job, one task per
-stale shard reading only its own files — no Ray shuffle.  It has ONE
-stitcher (``_stitch_groups_vec``): each round's sorted rows are planned
+up-to-date shards are skipped, new delta runs append a generation
+segment, and a shard past ``COMPACT_AFTER_GENS`` generations FOLDS its
+committed segments (base, then generations) and the new runs into a new
+base — a fold reads segments, not every run since the build, and
+decodes only their doc blobs to recover each row's first/last doc.  An
+append or fold of one delta run is written in the driver; only the
+other stale shards go to a Ray job, one task per stale shard reading
+only its own files — no Ray shuffle.  It has ONE stitcher
+(``_stitch_groups_vec``): each round's sorted rows are planned
 into (term, chunk) groups and stitched byte-wise in one vectorized call —
 only each run's first doc value is re-encoded as a delta against the
 previous run's last doc; tf/pos blobs concatenate as-is.  A segment row
@@ -61,8 +66,8 @@ import ray.data
 
 from ..state.manifest import Manifest, STATUS_INDEXED, atomic_write_table
 from . import codec
-from .codec import (_bin_view, _cum0, encode_runs, range_cuts,
-                    varbyte_encode, varbyte_lengths)
+from .codec import (_bin_view, _blob_values, _cum0, encode_runs,
+                    range_cuts, varbyte_encode, varbyte_lengths)
 
 DOC_BITS = 32  # doc_id = pid << DOC_BITS | local_rank
 
@@ -237,11 +242,12 @@ MERGE_READ_BATCH_MAX = 4096
 # this many rows amortizes them.  Memory bound = this + one slab x runs.
 MERGE_ROUND_ROWS = 8192
 # generational compaction trigger (r02 VERDICT #5): a shard accumulating
-# this many generation segments compacts (full re-merge of base + all
-# delta runs into a new base) instead of appending another generation —
-# long-running delta loops stay bounded without waiting for a full
-# rebuild.  The reference's analog is Cassandra compaction of the FTI
-# status/hash tables (ScannerImpl.java:135-144).
+# this many generation segments compacts (a fold of its base, its
+# generations and the new delta runs into a new base) instead of
+# appending another generation — long-running delta loops stay bounded
+# without waiting for a full rebuild.  The reference's analog is
+# Cassandra compaction of the FTI status/hash tables
+# (ScannerImpl.java:135-144).
 COMPACT_AFTER_GENS = 4
 
 
@@ -398,15 +404,17 @@ def _plan_chunks(terms: np.ndarray, counts: np.ndarray, chunk_target: int,
 
 
 class _RunCursor:
-    """Streaming cursor over one term-sorted run file: holds ONE slab as
-    an Arrow RecordBatch of the ``columns`` the stitcher reads (a run
-    file's other columns — e.g. an older layout's block metadata — are
-    never loaded) plus the slab's (term, first_doc) sort keys, the only
-    values that materialize to Python.  Slab rows are sized from the
-    file's avg compressed row bytes unless ``read_batch`` pins them
-    (tests)."""
+    """Streaming cursor over one term-sorted run or segment file: holds
+    ONE slab as an Arrow RecordBatch of the ``columns`` the stitcher reads
+    (a run file's other columns — e.g. an older layout's block metadata —
+    are never loaded) plus the slab's (term, first_doc) sort keys, the
+    only values that materialize to Python.  A segment file has no
+    first/last doc columns: each slab derives them from its doc blobs
+    (``_doc_bounds``), so a fold streams segments exactly like runs.
+    Slab rows are sized from the file's avg compressed row bytes unless
+    ``read_batch`` pins them (tests)."""
 
-    __slots__ = ("it", "batch", "keys", "pos", "n")
+    __slots__ = ("it", "batch", "keys", "pos", "n", "columns", "derive")
 
     def __init__(self, path: str, columns: List[str],
                  read_batch: int = None):
@@ -418,7 +426,11 @@ class _RunCursor:
             read_batch = min(MERGE_READ_BATCH_MAX,
                              max(MERGE_READ_BATCH_MIN,
                                  MERGE_SLAB_TARGET_BYTES // avg))
-        self.it = pf.iter_batches(batch_size=read_batch, columns=columns)
+        self.columns = columns
+        self.derive = "first_doc" not in pf.schema_arrow.names
+        self.it = pf.iter_batches(batch_size=read_batch, columns=[
+            c for c in columns
+            if not (self.derive and c in ("first_doc", "last_doc"))])
         self.batch = None
         self.pos = self.n = 0
         self.advance_slab()
@@ -428,6 +440,12 @@ class _RunCursor:
         self.batch = batch
         if batch is None:
             return False
+        if self.derive:
+            bounds = dict(zip(("first_doc", "last_doc"), _doc_bounds(batch)))
+            batch = self.batch = pa.RecordBatch.from_arrays(
+                [bounds[c] if c in bounds else batch.column(c)
+                 for c in self.columns],
+                names=self.columns)
         terms = batch.column("term").to_pylist()
         fds = batch.column("first_doc").to_pylist()
         self.keys = list(zip(terms, fds))
@@ -436,12 +454,38 @@ class _RunCursor:
         return True
 
 
+def _doc_bounds(rows: pa.RecordBatch):
+    """(first_doc, last_doc) int64 arrays of segment rows, from their doc
+    blobs alone: a row's first varbyte value is its first doc (absolute),
+    the sum of its values its last."""
+    starts = _cum0(np.asarray(rows.column("count"), np.int64))
+    cum = np.zeros(int(starts[-1]) + 1, np.uint64)
+    np.cumsum(_blob_values(rows.column("doc_blob"), int(starts[-1])),
+              out=cum[1:])
+    lo = cum[starts[:-1]]
+    return (pa.array((cum[starts[:-1] + 1] - lo).view(np.int64)),
+            pa.array((cum[starts[1:]] - lo).view(np.int64)))
+
+
+def _stat_fp(out_dir: str, rel: str) -> Optional[str]:
+    """``size:mtime_ns`` of a file under the index dir; None if absent."""
+    try:
+        st = os.stat(os.path.join(out_dir, rel))
+    except FileNotFoundError:
+        return None
+    return f"{st.st_size}:{st.st_mtime_ns}"
+
+
 def _plan_shard(out_dir: str, shard: int) -> dict:
     """The merge one shard needs, from its merge-manifest row and
-    ``os.stat`` of its run files only (no run file is opened).  ``mode``
-    is 'current' (run set unchanged: nothing to do), 'append' (only new
-    delta runs: ``files`` go to generation segment ``generation``) or
-    'full' (every run re-merges into a new base, generation 0)."""
+    ``os.stat`` of its run and segment files only (no file is opened).
+    ``mode`` is 'current' (run set unchanged: nothing to do), 'append'
+    (only new delta runs: ``files`` go to generation segment
+    ``generation``), 'fold' (only new delta runs, but the shard already
+    holds ``COMPACT_AFTER_GENS`` generations: its committed segments —
+    base, then generations — and the new runs fold into a new base) or
+    'full' (every run re-merges into a new base, generation 0).
+    ``new_runs`` counts the run files an append or fold adds."""
     prior = Manifest(out_dir, "merge").read(shard) or {}
     shard_rel = os.path.join("runs", f"shard-{shard:04d}")
     shard_dir = os.path.join(out_dir, shard_rel)
@@ -454,12 +498,8 @@ def _plan_shard(out_dir: str, shard: int) -> dict:
     # unchanged shards skip entirely; a shard whose run set only GREW
     # (per-doc delta) merges just the NEW runs into an append-only
     # GENERATION segment — delta merge cost is O(delta), not
-    # O(shard).  Any changed/removed run forces a full re-merge
-    # (compaction).
-    cur_fp = {}
-    for p in all_files:
-        st = os.stat(os.path.join(out_dir, p))
-        cur_fp[p] = f"{st.st_size}:{st.st_mtime_ns}"
+    # O(shard).  Any changed/removed run forces a full re-merge.
+    cur_fp = {p: _stat_fp(out_dir, p) for p in all_files}
     shard_fp = hashlib.sha256(
         "|".join(f"{p}:{v}" for p, v in cur_fp.items()).encode()
     ).hexdigest()
@@ -487,10 +527,20 @@ def _plan_shard(out_dir: str, shard: int) -> dict:
                                         f"shard-{shard:04d}.parquet")) and \
             new_files and \
             all(_pid_of(p) >= DELTA_PID_BASE and _pid_of(p) > prev_max_pid
-                for p in new_files) and \
-            generation <= COMPACT_AFTER_GENS:
-        return plan | {"mode": "append", "files": new_files,
-                       "generation": generation}
+                for p in new_files):
+        incremental = {"new_runs": len(new_files), "generation": generation}
+        if generation <= COMPACT_AFTER_GENS:
+            return plan | incremental | {"mode": "append",
+                                         "files": new_files}
+        # a fold overwrites the base it reads: fold only segments that
+        # are exactly as this row committed them (a crashed fold left a
+        # new base or missing generations behind the row, and re-folding
+        # those would double-count postings); otherwise re-merge runs
+        segs = prior.get("segments_merged") or {}
+        if list(segs) == prior.get("output_files") and \
+                all(_stat_fp(out_dir, p) == v for p, v in segs.items()):
+            return plan | incremental | {"mode": "fold", "generation": 0,
+                                         "files": list(segs) + new_files}
     return plan | {"mode": "full", "files": all_files, "generation": 0}
 
 
@@ -502,16 +552,16 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
     stage-1 tasks partitioned the runs by term shard at write time.
     Returns the ``map_batches`` fn over a ``shard`` column, which plans
     (``_plan_shard``) and writes each shard; its ``write(plan)`` carries
-    out one plan in the calling process (``merge_runs`` writes one-delta-run
-    appends in the driver with it).
+    out one plan in the calling process (``merge_runs`` writes appends
+    and folds of one delta run in the driver with it).
 
-    STREAMING k-way merge: runs are term-sorted at write time, so rounds
-    over per-file slab cursors yield rows in global (term, first_doc)
-    order; each round's rows are planned into (term, chunk) groups and
-    stitched by ``_stitch_groups_vec``, and segment rows go to an
-    incremental parquet writer every ``MERGE_FLUSH_TERMS`` rows.  Peak
-    memory = runs x one read slab + one round + one carried chunk + the
-    flush buffer — independent of shard size.
+    STREAMING k-way merge: runs and segments are term-sorted at write
+    time, so rounds over per-file slab cursors yield rows in global
+    (term, first_doc) order; each round's rows are planned into (term,
+    chunk) groups and stitched by ``_stitch_groups_vec``, and segment
+    rows go to an incremental parquet writer every ``MERGE_FLUSH_TERMS``
+    rows.  Peak memory = files x one read slab + one round + one carried
+    chunk + the flush buffer — independent of shard size.
 
     A term whose postings reach ``chunk_target`` is emitted as MULTIPLE
     segment rows (term, chunk) in ascending doc order, so the merge never
@@ -535,7 +585,8 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
         if plan["mode"] == "current":
             return {"shard": shard, "terms": prior["terms_emitted"],
                     "bytes_written": prior["bytes_written"]}
-        append_only = plan["mode"] == "append"
+        mode = plan["mode"]
+        append_only = mode == "append"
         generation = plan["generation"]
         seg_dir = os.path.join(out_dir, "segments")
         os.makedirs(seg_dir, exist_ok=True)
@@ -642,18 +693,19 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
             nbytes = os.path.getsize(tmp)
             os.replace(tmp, path)
             if not append_only:
-                # full re-merge subsumes old generations: drop them only
+                # a new base subsumes the old generations: drop them only
                 # AFTER the new base is atomically in place (a crash
                 # before the replace leaves the committed base+gens set
                 # intact, ADVICE r02).  A crash BETWEEN the replace and
-                # these unlinks leaves the new base (which already holds
-                # the delta postings) beside stale gens — a reader opened
-                # in that window double-counts delta postings until the
-                # next merge invocation re-runs this shard (the manifest
-                # row below never committed, so it always does).  The two
-                # failure modes are mutually exclusive; this ordering
-                # picks transient duplicates (self-healing) over silent
-                # permanent loss.
+                # the manifest commit below leaves the new base (which
+                # already holds the delta postings) under the old row,
+                # perhaps beside stale gens.  No reader sees that state:
+                # the epoch still pins the old base, so a reader opening
+                # the shard raises IndexChangedError until the next cycle
+                # publishes.  That cycle's plan is 'full' from runs —
+                # the row's segment fingerprints no longer match, so a
+                # fold never reads the new base as its input — and it
+                # rewrites the base and drops the gens.
                 for stale in _glob.glob(gen_glob):
                     os.unlink(stale)
         except BaseException:
@@ -668,15 +720,20 @@ def make_shard_writer(out_dir: str, chunk_target: int = 1 << 20,
             (int(prior.get("terms_emitted", 0)) if append_only else 0)
         bytes_total = nbytes + \
             (int(prior.get("bytes_written", 0)) if append_only else 0)
+        rel = os.path.relpath(path, out_dir)
+        # every committed segment's size:mtime_ns, in output order: a
+        # fold reads these files only while they still match
+        segs = ((prior.get("segments_merged") or {}) if append_only
+                else {}) | {rel: _stat_fp(out_dir, rel)}
         Manifest(out_dir, "merge").commit(
             shard, status=STATUS_INDEXED,
             input_fingerprint=plan["input_fingerprint"],
             terms_emitted=terms_total,
             bytes_written=bytes_total,
             output_files=(prior.get("output_files", [])
-                          if append_only else []) +
-            [os.path.relpath(path, out_dir)],
+                          if append_only else []) + [rel],
             extra={"runs_merged": plan["runs_merged"],
+                   "segments_merged": segs, "mode": mode,
                    "generations": generation + 1})
         return {"shard": shard, "terms": terms_total,
                 "bytes_written": bytes_total}
@@ -691,15 +748,16 @@ def merge_runs(out_dir: str, num_shards: int,
                round_rows: int = None) -> None:
     """Stage 2: merge per-partition runs into term-sharded segments.  The
     driver plans every shard (``_plan_shard``) and skips up-to-date ones,
-    so a no-op resume starts no Ray job.  An append of exactly ONE delta
-    run (what a one-partition delta writes) is written in the driver: a
-    few kB, and driver memory stays bounded by one partition, like the
+    so a no-op resume starts no Ray job.  An append or fold whose only
+    new input is ONE delta run (what a one-partition delta writes) is
+    written in the driver: the run is a few kB, a fold streams the
+    shard's segments in slabs, and driver memory stays bounded like the
     inline differ's.  Every other stale shard goes to one Ray Data job,
-    one task per stale shard reading only its pre-partitioned run files
-    (no shuffle).  Invalidation is PER SHARD: each merge-manifest row
-    stores a fingerprint of exactly its run set (path+size+mtime_ns —
-    same-size in-place rewrites still invalidate, ADVICE r01), so a resume
-    or delta that touched few term shards re-merges only those."""
+    one task per stale shard reading only its own files (no shuffle).
+    Invalidation is PER SHARD: each merge-manifest row stores a
+    fingerprint of exactly its run set (path+size+mtime_ns — same-size
+    in-place rewrites still invalidate, ADVICE r01), so a resume or delta
+    that touched few term shards re-merges only those."""
     runs_dir = os.path.join(out_dir, "runs")
     if not os.path.isdir(runs_dir):
         return
@@ -708,7 +766,7 @@ def merge_runs(out_dir: str, num_shards: int,
     stale = []
     for shard in range(num_shards):
         plan = _plan_shard(out_dir, shard)
-        if plan["mode"] == "append" and len(plan["files"]) == 1:
+        if plan.get("new_runs") == 1:
             writer.write(plan)
         elif plan["mode"] != "current":
             stale.append({"shard": shard})

@@ -131,13 +131,6 @@ def generate_corpus(n_rows: int, seed: int = 42) -> pa.Table:
     })
 
 
-def write_corpus(path: str, n_rows: int, seed: int = 42) -> str:
-    import pyarrow.parquet as pq
-    t = generate_corpus(n_rows, seed)
-    pq.write_table(t, path)
-    return path
-
-
 # fixed reference query set (FIXTURES.md F2): hot term alone, rare identifier,
 # multi-term, absent term, camelCase term that only matches after splitting
 REFERENCE_QUERIES = [

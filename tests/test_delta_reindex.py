@@ -3,6 +3,7 @@ re-tokenize; queries on the delta index score EXACTLY like a full rebuild
 (exact-stats reader).  r01 VERDICT #5."""
 import glob
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -335,8 +336,11 @@ def _mtimes(pattern):
 def test_cheap_cycles_start_no_ray_job(tmp_path, monkeypatch):
     """The driver plans every shard's merge: a no-op resume, a delta of
     one doc in one file (one changed partition, so one delta run per
-    touched shard) and an idle delta cycle start no Ray Data job, and end
-    at full-rebuild parity with the epoch id kept by the no-op cycles."""
+    touched shard), an idle delta cycle and COMPACT_AFTER_GENS + 1 more
+    one-doc deltas (the last folds a shard) start no Ray Data job, and
+    end at full-rebuild parity with the epoch id kept by the no-op
+    cycles."""
+    from jesterj_ray.index.build import COMPACT_AFTER_GENS
     from jesterj_ray.index.epoch import read_epoch
     df = make_docs()
     paths, out = build_split(df, tmp_path, "base")
@@ -353,16 +357,24 @@ def test_cheap_cycles_start_no_ray_job(tmp_path, monkeypatch):
     d = delta_reindex(paths, out, **DELTA_KW)       # idle watch cycle
     assert d["reindexed_docs"] == 0 and d["tombstoned"] == 0
     assert read_epoch(out)["epoch"] == epoch
+    # enough one-doc deltas for alpha's shard to fold its segments
+    bases = _mtimes(f"{out}/segments/shard-????.parquet")
+    for rnd in range(COMPACT_AFTER_GENS + 1):
+        df.loc[rnd + 10, "text"] = f"cheapword{rnd} alpha"
+        write_split(df, paths, only={0})
+        delta_reindex(paths, out, **DELTA_KW)
+    assert _mtimes(f"{out}/segments/shard-????.parquet") != bases
     monkeypatch.undo()
     _, full = build_split(df, tmp_path, "full")
     assert score_map(out) == score_map(full)
 
 
 def test_merge_job_gets_only_stale_shards(tmp_path, monkeypatch):
-    """The merge job gets one item per shard that needs more than a
-    one-delta-run append, and nothing else: shards gaining runs from two
-    delta partitions, a shard crossing COMPACT_AFTER_GENS, and the one
-    shard whose merge-manifest row was deleted before a resume."""
+    """The merge job gets one item per shard that needs more than an
+    append or fold of one delta run, and nothing else: shards gaining
+    runs from two delta partitions and the one shard whose merge-manifest
+    row was deleted before a resume.  A shard crossing COMPACT_AFTER_GENS
+    with one new run folds in the driver."""
     from jesterj_ray.index.build import COMPACT_AFTER_GENS
     jobs = _record_merge_jobs(monkeypatch)
     df = make_docs()
@@ -388,8 +400,8 @@ def test_merge_job_gets_only_stale_shards(tmp_path, monkeypatch):
     _, full = build_split(df, tmp_path, "full")
     assert score_map(out) == score_map(full)
 
-    # one-doc deltas until alpha's shard compacts: each cycle's job holds
-    # exactly the shards whose base segment was re-merged
+    # one-doc deltas until alpha's shard compacts: its one new run folds
+    # into its segments in the driver, so no cycle starts a job
     compacted = []
     for rnd in range(COMPACT_AFTER_GENS + 1):
         df.loc[rnd + 10, "text"] = f"genword{rnd} alpha"
@@ -397,11 +409,10 @@ def test_merge_job_gets_only_stale_shards(tmp_path, monkeypatch):
         bases = _mtimes(f"{out}/segments/shard-????.parquet")
         jobs.clear()
         delta_reindex(paths, out, **DELTA_KW)
-        rewritten = sorted(int(os.path.basename(f)[6:10]) for f, m in
-                           _mtimes(f"{out}/segments/shard-????.parquet")
-                           .items() if bases[f] != m)
-        assert jobs == ([rewritten] if rewritten else []), (rnd, jobs)
-        compacted += rewritten
+        compacted += [f for f, m in
+                      _mtimes(f"{out}/segments/shard-????.parquet").items()
+                      if bases[f] != m]
+        assert jobs == [], (rnd, jobs)
     assert compacted
     full_paths, full2 = build_split(df, tmp_path, "full2")
     assert score_map(out) == score_map(full2)
@@ -472,3 +483,167 @@ def test_driver_merge_crash_keeps_committed_epoch(tmp_path, monkeypatch):
     write_docs(df, src)
     assert main(["verify-index", out, src, "--key-col", "rid",
                  "--sample", "20"]) == 0
+
+
+def _record_plans(monkeypatch):
+    """Patch ``build._plan_shard`` to record every plan the driver makes."""
+    from jesterj_ray.index import build as build_mod
+    real = build_mod._plan_shard
+    plans = []
+
+    def plan_shard(out_dir, shard):
+        plans.append(real(out_dir, shard))
+        return plans[-1]
+
+    monkeypatch.setattr(build_mod, "_plan_shard", plan_shard)
+    return plans
+
+
+def test_fold_reads_a_bounded_number_of_files(tmp_path, monkeypatch):
+    """Over 3 x (COMPACT_AFTER_GENS + 1) one-doc deltas, every fold reads
+    the shard's base, its generations and the one new run — at most
+    COMPACT_AFTER_GENS + 2 files, however many runs the shard has
+    gathered — and the index scores like a full rebuild."""
+    from jesterj_ray.index.build import COMPACT_AFTER_GENS
+    df = make_docs()
+    paths, out = build_split(df, tmp_path, "base")
+    plans = _record_plans(monkeypatch)
+    for rnd in range(3 * (COMPACT_AFTER_GENS + 1)):
+        df.loc[rnd + 10, "text"] = f"foldword{rnd} alpha"
+        write_split(df, paths, only={0})
+        delta_reindex(paths, out, **DELTA_KW)
+    folds = [p for p in plans if p["mode"] == "fold"]
+    assert len({p["shard"] for p in folds}) >= 1 and len(folds) >= 3
+    for p in folds:
+        assert len(p["files"]) <= COMPACT_AFTER_GENS + 2, p["files"]
+        assert p["new_runs"] == 1
+        assert len(p["runs_merged"]) > len(p["files"])
+    monkeypatch.undo()
+    _, full = build_split(df, tmp_path, "full")
+    assert score_map(out) == score_map(full)
+
+
+def _shard_postings(index_dir, shard):
+    """(term, chunk count) rows and the decoded (docs, tfs, pos) of one
+    shard's segments, terms ascending, each term's chunks in order."""
+    from jesterj_ray.index.codec import decode_runs
+    t = pa.concat_tables(
+        pq.read_table(f).replace_schema_metadata() for f in sorted(glob.glob(
+            f"{index_dir}/segments/shard-{shard:04d}*.parquet")))
+    t = t.sort_by([("term", "ascending"), ("chunk", "ascending")])
+    return (list(zip(t["term"].to_pylist(), t["count"].to_pylist())),
+            decode_runs(t))
+
+
+def test_fold_with_tiny_chunks_keeps_postings(tmp_path, monkeypatch):
+    """With ``chunk_target`` tiny and every run row below it, a fold's
+    input rows (segment chunks) are coarser than runs, so its cut points
+    may differ from a full re-merge's; the postings must not.  Every
+    non-last chunk of a term holds at least chunk_target and fewer than
+    2 x chunk_target postings in both."""
+    import functools
+
+    from jesterj_ray.index import build as build_mod
+    from jesterj_ray.index import build_rows
+    from jesterj_ray.index.build import COMPACT_AFTER_GENS
+    ct = 12
+    monkeypatch.setattr(build_rows, "merge_runs", functools.partial(
+        build_mod.merge_runs, chunk_target=ct))
+    kw = DELTA_KW | {"docs_per_partition": 10}
+    df = make_docs()
+    os.makedirs(tmp_path / "src")
+    paths = [str(tmp_path / "src" / f"f{i}.parquet") for i in range(30)]
+    write_split(df, paths)
+    out = str(tmp_path / "idx")
+    build_index_rows(paths, out, **kw)
+    for rnd in range(COMPACT_AFTER_GENS + 1):
+        df.loc[rnd + 3, "text"] = f"tinyword{rnd} " + \
+            " ".join(f"w{j}" for j in range(20))     # every shard
+        write_split(df, paths, only={0})
+        delta_reindex(paths, out, **kw)
+    assert not glob.glob(f"{out}/segments/*-gen-*")
+    ref = str(tmp_path / "ref")
+    shutil.copytree(out, ref)
+    for f in glob.glob(f"{ref}/manifest/merge/*.json"):
+        os.unlink(f)
+    build_mod.merge_runs(ref, 4, chunk_target=ct)
+    multi = 0
+    for shard in range(4):
+        rows, post = _shard_postings(out, shard)
+        ref_rows, ref_post = _shard_postings(ref, shard)
+        for a, b in zip(post, ref_post):
+            assert np.array_equal(a, b)
+        for got in (rows, ref_rows):
+            per_term = {}
+            for term, count in got:
+                per_term.setdefault(term, []).append(count)
+            for counts in per_term.values():
+                multi += len(counts) > 1
+                assert all(ct <= c < 2 * ct for c in counts[:-1]), counts
+        assert {t for t, _ in rows} == {t for t, _ in ref_rows}
+    assert multi
+
+
+def _segment_tables(index_dir):
+    return {os.path.basename(f): pq.read_table(f).replace_schema_metadata()
+            for f in glob.glob(f"{index_dir}/segments/*.parquet")}
+
+
+def test_crash_in_a_fold_replans_full(tmp_path, monkeypatch):
+    """A fold that fails after its new base replaced the old one and
+    before its merge-manifest row commits: a reader pinned to the old
+    epoch raises IndexChangedError on that shard, and the next delta
+    plans the shard 'full' from runs (the row's segment fingerprints no
+    longer match, so the new base is never folded into itself).  The
+    segments then equal an uninterrupted run's and score like a full
+    rebuild."""
+    from jesterj_ray.index import build as build_mod
+    from jesterj_ray.index.build import COMPACT_AFTER_GENS, term_shard
+    from jesterj_ray.index.epoch import IndexChangedError
+
+    def cycle(df, paths, out, rnd):
+        df.loc[rnd + 10, "text"] = f"crashgen{rnd} alpha"
+        write_split(df, paths, only={0})
+        return delta_reindex(paths, out, **DELTA_KW)
+
+    df_ok = make_docs()
+    paths_ok, out_ok = build_split(df_ok, tmp_path, "ok")
+    for rnd in range(COMPACT_AFTER_GENS + 1):
+        cycle(df_ok, paths_ok, out_ok, rnd)
+
+    df = make_docs()
+    paths, out = build_split(df, tmp_path, "base")
+    for rnd in range(COMPACT_AFTER_GENS):
+        cycle(df, paths, out, rnd)
+    reader = IndexReader(out)        # pinned; no shard loaded yet
+
+    class Boom(Exception):
+        pass
+
+    real_commit = build_mod.Manifest.commit
+    crashed = []
+
+    def commit(self, partition_id, **kw):
+        if (kw.get("extra") or {}).get("mode") == "fold" and not crashed:
+            crashed.append(partition_id)
+            raise Boom("injected")
+        return real_commit(self, partition_id, **kw)
+
+    monkeypatch.setattr(build_mod.Manifest, "commit", commit)
+    with pytest.raises(Boom):
+        cycle(df, paths, out, COMPACT_AFTER_GENS)
+    monkeypatch.undo()
+    shard = crashed[0]
+    term = next(t for t in ["alpha"] + [f"w{i}" for i in range(80)]
+                if term_shard(pa.chunked_array([[t]]), 4)[0] == shard)
+    with pytest.raises(IndexChangedError):
+        reader.topk(term, 10)
+
+    plans = _record_plans(monkeypatch)
+    d = delta_reindex(paths, out, **DELTA_KW)
+    assert d["reindexed_docs"] == 0
+    assert [p["mode"] for p in plans if p["shard"] == shard] == ["full"]
+    monkeypatch.undo()
+    assert _segment_tables(out) == _segment_tables(out_ok)
+    _, full = build_split(df, tmp_path, "full")
+    assert score_map(out) == score_map(full)

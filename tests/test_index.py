@@ -158,7 +158,7 @@ def test_build_manifest_is_location_independent(small_corpus, tmp_path):
     writes byte-identical build manifests, and every file a manifest
     lists exists under its own index dir.  Merge manifests name their
     runs and segments relative to the index dir too, and agree up to
-    the run files' mtimes."""
+    the run and segment files' mtimes."""
     import glob
     import json
     import os
@@ -183,12 +183,14 @@ def test_build_manifest_is_location_independent(small_corpus, tmp_path):
         for p in glob.glob(os.path.join(out, "manifest", "merge",
                                         "part-*.json")):
             rec = json.load(open(p))
-            for rel in list(rec["output_files"]) + list(rec["runs_merged"]):
+            for rel in list(rec["output_files"]) + \
+                    list(rec["runs_merged"]) + list(rec["segments_merged"]):
                 assert not os.path.isabs(rel), rel
                 assert os.path.isfile(os.path.join(out, rel)), rel
-            # run files of the two builds differ only in their mtimes
-            rec["runs_merged"] = {k: v.split(":")[0]
-                                  for k, v in rec["runs_merged"].items()}
+            # run and segment files of the two builds differ only in
+            # their mtimes
+            for key in ("runs_merged", "segments_merged"):
+                rec[key] = {k: v.split(":")[0] for k, v in rec[key].items()}
             del rec["input_fingerprint"]
             merged[os.path.basename(p)] = rec
         assert merged

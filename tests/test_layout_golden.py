@@ -11,6 +11,7 @@ import glob
 import hashlib
 import json
 import os
+import shutil
 
 import numpy as np
 import pandas as pd
@@ -39,6 +40,16 @@ GOLDEN_LEDGER = {
                     "23fe61e2322d594c", 5),
         "slice0": ("3268379a0caed7f0", "78ac8e2b35b708fe", None, 1),
         "slice1": ("451ebeccbda51271", "fd0ed94c67687752", None, 1),
+        "churn0": ("d13ec5b2a0397b38", "a317a0b27099055a",
+                   "8812fe5e02666517", 6),
+        "churn1": ("8ddd7371b4315428", "6b89dd049a2b8900",
+                   "4a531b042fdc11bb", 7),
+        "churn2": ("1ed419bbf2c83a27", "06b706269c4e8460",
+                   "090b8b35a674f44e", 8),
+        "churn3": ("a1a1017f3f90c64d", "1330c65826a45dac",
+                   "ff9b98e895a97bd3", 9),
+        "churn4": ("e67e3d40336f2469", "207a83350aa4dff8",
+                   "5578075b5921ed55", 10),
     },
     True: {
         "build": ("262fb39bfb3c8db7", None, None, 1),
@@ -51,6 +62,16 @@ GOLDEN_LEDGER = {
                     "23fe61e2322d594c", 5),
         "slice0": ("cb4a43a714f65ba1", "78ac8e2b35b708fe", None, 1),
         "slice1": ("cbd1351a562ebbe7", "fd0ed94c67687752", None, 1),
+        "churn0": ("6ca17736f27c3ade", "a317a0b27099055a",
+                   "8812fe5e02666517", 6),
+        "churn1": ("c2428462e34797c2", "6b89dd049a2b8900",
+                   "4a531b042fdc11bb", 7),
+        "churn2": ("eb8d8b0f159840d5", "06b706269c4e8460",
+                   "090b8b35a674f44e", 8),
+        "churn3": ("cd5fac6a24f1ec7e", "1330c65826a45dac",
+                   "ff9b98e895a97bd3", 9),
+        "churn4": ("3b35f70e0381ddf1", "207a83350aa4dff8",
+                   "5578075b5921ed55", 10),
     },
 }
 
@@ -124,8 +145,11 @@ def test_ledger_golden_over_writer_cycle(tmp_path, positions):
     writer cycle: build, a delta that changes two docs of one partition
     (so its delta partition later compacts with a survivor whose id
     remaps in the overlay catalog), ``delete_docs``, ``compact_index``,
-    a second ``delete_docs`` and ``repartition_for_serving`` into two
-    slices.  ``tombstones.pending.json`` is absent after every step."""
+    a second ``delete_docs``, ``repartition_for_serving`` into two
+    slices, then ``COMPACT_AFTER_GENS + 1`` one-doc deltas, the last of
+    which compacts every shard.  ``tombstones.pending.json`` is absent
+    after every step."""
+    from jesterj_ray.index.build import COMPACT_AFTER_GENS
     from jesterj_ray.index.build_rows import delta_reindex
     from jesterj_ray.index.compact import compact_index
     from jesterj_ray.index.query import delete_docs
@@ -157,7 +181,58 @@ def test_ledger_golden_over_writer_cycle(tmp_path, positions):
                                      n_slices=2)
     for s, d in enumerate(slices):
         got[f"slice{s}"] = _ledger_snapshot(d)
+    # a compacting run of deltas: each one-doc delta touches every shard,
+    # so the last one crosses COMPACT_AFTER_GENS on all of them
+    for i in range(COMPACT_AFTER_GENS + 1):
+        df.loc[30 + i, "text"] = " ".join(f"t{j}" for j in range(24)) + \
+            f" fresh{i}"
+        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), src,
+                       row_group_size=100)
+        delta_reindex(src, out, **kw)
+        got[f"churn{i}"] = _ledger_snapshot(out)
+    assert not glob.glob(os.path.join(out, "segments", "*-gen-*"))
     assert got == GOLDEN_LEDGER[positions]
+
+
+def _full_remerge_copy(index_dir, dest, num_shards=4):
+    """A copy of ``index_dir`` whose segments are forced to re-merge from
+    runs (every merge-manifest row forgotten)."""
+    from jesterj_ray.index.build import merge_runs
+    shutil.copytree(index_dir, dest)
+    for f in glob.glob(os.path.join(dest, "manifest", "merge", "*.json")):
+        os.unlink(f)
+    merge_runs(dest, num_shards)
+    return dest
+
+
+@pytest.mark.parametrize("positions", [False, True])
+def test_fold_equals_full_remerge(tmp_path, positions):
+    """COMPACT_AFTER_GENS + 1 one-doc deltas fold every shard in the
+    driver, and as many more, the last changing a doc in each of the two
+    partitions, fold every shard in the Ray job: both times the segment
+    and run tables have the layout digest of a full re-merge from runs."""
+    from jesterj_ray.index.build import COMPACT_AFTER_GENS
+    from jesterj_ray.index.build_rows import delta_reindex
+    from jesterj_ray.state.manifest import Manifest
+    out = build_golden(tmp_path, positions)
+    src = str(tmp_path / "golden.parquet")
+    df = golden_corpus()
+    kw = dict(text_col="text", key_col="rid", tokenizer="simple",
+              docs_per_partition=300, num_shards=4, positions=positions)
+    every_shard = " ".join(f"t{j}" for j in range(24))
+    for rnd in range(2 * (COMPACT_AFTER_GENS + 1)):
+        rows = [30 + rnd] + ([330] if rnd == 2 * COMPACT_AFTER_GENS + 1
+                             else [])
+        for r in rows:
+            df.loc[r, "text"] = f"{every_shard} fold{rnd}"
+        pq.write_table(pa.Table.from_pandas(df, preserve_index=False), src,
+                       row_group_size=100)
+        delta_reindex(src, out, **kw)
+        if rnd % (COMPACT_AFTER_GENS + 1) == COMPACT_AFTER_GENS:
+            rows = Manifest(out, "merge").all()
+            assert {r["mode"] for r in rows.values()} == {"fold"}
+            ref = _full_remerge_copy(out, str(tmp_path / f"ref{rnd}"))
+            assert layout_digest(out) == layout_digest(ref)
 
 
 def test_only_the_ledger_names_the_bookkeeping_files():

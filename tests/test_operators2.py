@@ -225,6 +225,12 @@ def test_cli_delta_and_status(tmp_path, capsys):
     assert main(["status", out]) == 0
     s = _json.loads(capsys.readouterr().out.strip())
     assert s["by_status"].get("DIRTY") == 1
+    # the build merged all 8 shards fully; the one-doc delta appended a
+    # generation to the shards holding its terms
+    merge = s["merge"]
+    assert merge["shards"] == 8 and merge["max_generations"] == 2
+    assert set(merge["by_mode"]) == {"full", "append"}
+    assert sum(merge["by_mode"].values()) == 8
     assert main(["status", out, "0"]) == 0
     h = _json.loads(capsys.readouterr().out.strip())
     assert any(e["status"] == "DIRTY" for e in h["history"])
